@@ -4,7 +4,8 @@ scale-dependent Hurst exponent estimation.
 Pipeline: synthesize (fGn, cascade, composite) -> aggregate over dyadic
 block sizes -> estimate cumulants per scale -> fit log-log power laws
 (Hurst spectrum, locality curves, knee detection), with an independent
-wavelet logscale-diagram estimator for cross-checking.
+wavelet logscale-diagram estimator for cross-checking. Both estimators
+fit the same ScalingDiagram.
 """
 
 from .aggregate import AggregatePyramid, aggregate, build_pyramid, dyadic_scales
@@ -20,6 +21,7 @@ from .scaling import (
     KneePoint,
     LocalityCurve,
     MonofractalReport,
+    ScalingDiagram,
     ScalingFit,
     classify_monofractal,
     detect_knee,
@@ -65,6 +67,7 @@ __all__ = [
     "LocalityCurve",
     "LogscaleDiagram",
     "MonofractalReport",
+    "ScalingDiagram",
     "ScalingFit",
     "SynthesisError",
     "Trace",

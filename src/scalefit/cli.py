@@ -3,7 +3,8 @@ plot-ready CSV reporting.
 
 Exit codes: 0 success, 1 computation/estimation failure, 2 usage or
 validation failure. All flag values are validated before any
-computation starts, so no flag combination can reach a module with an
+computation starts, by building the spec objects the modules validate
+themselves, so no flag combination can reach a module with an
 out-of-range argument. Set the environment variable
 SCALEFIT_FIXED_CLOCK to freeze recorded timestamps and make
 generate -> report pipelines byte-reproducible.
@@ -20,7 +21,6 @@ import numpy as np
 from . import cumulants, scaling, synth, trace_io, wavelet
 from .aggregate import aggregate as aggregate_series
 from .aggregate import build_pyramid
-from .rng import SEED_MAX
 
 DEFAULT_KNEE_THRESHOLD = 0.2
 
@@ -46,11 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="synthesize a trace and write it as CSV")
     gen.add_argument("--model", required=True, choices=("fgn", "cascade", "multifractal"))
     gen.add_argument("--hurst", type=float, default=0.7, help="Hurst exponent in (0,1) [0.7]")
-    gen.add_argument("--length", type=_positive_int, default=65536,
+    gen.add_argument("--length", type=int, default=65536,
                      help="trace length, a power of two >= 16 [65536]")
     gen.add_argument("--variance", type=float, default=1.0, help="marginal variance [1.0]")
     gen.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed [0]")
-    gen.add_argument("--depth", type=_positive_int, default=16,
+    gen.add_argument("--depth", type=int, default=16,
                      help="cascade depth, producing 2**depth cells [16]")
     gen.add_argument("--multiplier", type=float, default=2.0,
                      help="Beta(a,a) shape of the cascade multiplier [2.0]")
@@ -74,21 +74,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hur = sub.add_parser("hurst", help="point estimate of the Hurst exponent")
     hur.add_argument("input", help="trace CSV")
-    hur.add_argument("--method", choices=("cumulant", "variance", "wavelet"),
-                     default="cumulant")
+    hur.add_argument("--method", choices=("cumulant", "wavelet"), default="cumulant")
     hur.add_argument("--order", type=int, default=2,
                      help="cumulant order for method=cumulant [2]")
     hur.add_argument("--max-order", type=int, default=cumulants.DEFAULT_ORDER,
                      help="table depth for the reported spectrum [4]")
-    hur.add_argument("--j-lo", type=float, default=None, help="lowest octave of the fit window")
-    hur.add_argument("--j-hi", type=float, default=None, help="highest octave of the fit window")
+    hur.add_argument("--j-lo", type=float, default=None,
+                     help="lowest octave of the fit window [cumulant: finest scale; wavelet: 3]")
+    hur.add_argument("--j-hi", type=float, default=None,
+                     help="highest octave of the fit window "
+                          "[cumulant: coarsest scale; wavelet: levels-1]")
     hur.add_argument("--family", choices=wavelet.FAMILIES, default="db4",
                      help="wavelet family for method=wavelet [db4]")
-    hur.add_argument("--levels", type=_positive_int, default=None,
+    hur.add_argument("--levels", type=int, default=None,
                      help="wavelet pyramid depth [deepest with >= 8 coefficients]")
-    hur.add_argument("--j1", type=int, default=None, help="first octave of the wavelet fit [3]")
-    hur.add_argument("--j2", type=int, default=None,
-                     help="last octave of the wavelet fit [levels-1]")
     hur.add_argument("--out", default=None, help="optional CSV (spectrum or diagram)")
 
     loc = sub.add_parser("locality", help="Hurst-vs-scale curve and knee report")
@@ -97,19 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--order", type=int, default=2, help="cumulant order [2]")
     loc.add_argument("--window", type=int, default=4, help="window width in octaves, >= 3 [4]")
     loc.add_argument("--family", choices=wavelet.FAMILIES, default="db4")
-    loc.add_argument("--levels", type=_positive_int, default=None)
+    loc.add_argument("--levels", type=int, default=None)
     loc.add_argument("--knee-threshold", type=float, default=DEFAULT_KNEE_THRESHOLD,
                      help="knee is significant when sse_reduction >= threshold * "
                           f"single-line SSE [{DEFAULT_KNEE_THRESHOLD}]")
     loc.add_argument("--out", default=None, help="optional locality-curve CSV")
-
-    wav = sub.add_parser("wavelet", help="logscale diagram and wavelet Hurst estimate")
-    wav.add_argument("input", help="trace CSV")
-    wav.add_argument("--family", choices=wavelet.FAMILIES, default="db4")
-    wav.add_argument("--levels", type=_positive_int, default=None)
-    wav.add_argument("--j1", type=int, default=None)
-    wav.add_argument("--j2", type=int, default=None)
-    wav.add_argument("--out", default=None, help="optional diagram CSV")
 
     rep = sub.add_parser("report", help="full analysis bundle: 6 CSVs plus a manifest")
     rep.add_argument("input", help="trace CSV")
@@ -118,63 +109,53 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--order", type=int, default=2, help="locality-curve order [2]")
     rep.add_argument("--window", type=int, default=4)
     rep.add_argument("--family", choices=wavelet.FAMILIES, default="db4")
-    rep.add_argument("--levels", type=_positive_int, default=None)
+    rep.add_argument("--levels", type=int, default=None)
     rep.add_argument("--knee-threshold", type=float, default=DEFAULT_KNEE_THRESHOLD)
     return parser
 
 
-def _fail_validation(parser, message):
-    parser.error(message)  # prints usage + message, exits 2
-
-
 def _validate(parser, args):
+    try:
+        _check(args)
+    except ValueError as exc:
+        parser.error(str(exc))  # prints usage + message, exits 2
+
+
+def _check(args):
+    """Raise ValueError for the first invalid flag; generate's specs are
+    kept on args."""
     cmd = args.command
     if cmd == "generate":
-        if args.model in ("fgn", "multifractal"):
-            if not 0.0 < args.hurst < 1.0:
-                _fail_validation(parser, f"--hurst must be in the open interval (0, 1), got {args.hurst}")
-            if args.length < 16 or args.length & (args.length - 1):
-                _fail_validation(parser, f"--length must be a power of two >= 16, got {args.length}")
-            if args.variance <= 0.0:
-                _fail_validation(parser, f"--variance must be positive, got {args.variance}")
-        if args.model in ("cascade", "multifractal"):
-            if args.depth < 2:
-                _fail_validation(parser, f"--depth must be at least 2, got {args.depth}")
-            if args.multiplier <= 0.0:
-                _fail_validation(parser, f"--multiplier must be positive, got {args.multiplier}")
-            if args.mass <= 0.0:
-                _fail_validation(parser, f"--mass must be positive, got {args.mass}")
+        if args.model != "cascade":
+            args.fgn_spec = synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
+        if args.model != "fgn":
+            seed = args.seed
+            if args.model == "multifractal" and args.cascade_seed is not None:
+                seed = args.cascade_seed
+            args.cascade_spec = synth.CascadeSpec(args.depth, args.multiplier, args.mass,
+                                                  seed, equal_split=args.equal_split)
         if args.model == "multifractal" and args.length != 2**args.depth:
-            _fail_validation(
-                parser,
-                f"--length {args.length} must equal 2**depth = {2**args.depth} "
-                f"for the multifractal model",
-            )
-        for name in ("seed", "cascade_seed"):
-            value = getattr(args, name)
-            if value is not None and not 0 <= value <= SEED_MAX:
-                _fail_validation(parser, f"--{name.replace('_', '-')} must be an unsigned "
-                                         f"64-bit integer, got {value}")
-    else:
-        if not os.path.exists(args.input):
-            _fail_validation(parser, f"input trace not found: {args.input}")
+            raise ValueError(f"--length {args.length} must equal 2**depth = {2**args.depth} "
+                             f"for the multifractal model")
+        return
+    if not os.path.exists(args.input):
+        raise ValueError(f"input trace not found: {args.input}")
     if cmd in ("cumulants", "hurst", "report"):
         if not 1 <= args.max_order <= cumulants.MAX_ORDER:
-            _fail_validation(parser, f"--max-order must be in 1..{cumulants.MAX_ORDER}, "
-                                     f"got {args.max_order}")
+            raise ValueError(f"--max-order must be in 1..{cumulants.MAX_ORDER}, "
+                             f"got {args.max_order}")
     if cmd in ("hurst", "locality", "report"):
         if not 1 <= args.order <= cumulants.MAX_ORDER:
-            _fail_validation(parser, f"--order must be in 1..{cumulants.MAX_ORDER}, got {args.order}")
+            raise ValueError(f"--order must be in 1..{cumulants.MAX_ORDER}, got {args.order}")
+        if args.levels is not None:
+            wavelet.WaveletSpec(args.family, args.levels)
     if cmd in ("locality", "report") and args.window < 3:
-        _fail_validation(parser, f"--window must be at least 3 octaves, got {args.window}")
+        raise ValueError(f"--window must be at least 3 octaves, got {args.window}")
     if cmd in ("locality", "report") and args.knee_threshold < 0:
-        _fail_validation(parser, f"--knee-threshold must be nonnegative, got {args.knee_threshold}")
-    if cmd in ("hurst", "wavelet"):
-        if args.j1 is not None and args.j2 is not None and args.j1 >= args.j2:
-            _fail_validation(parser, f"--j1 must be below --j2, got [{args.j1}, {args.j2}]")
+        raise ValueError(f"--knee-threshold must be nonnegative, got {args.knee_threshold}")
     if cmd == "hurst" and args.j_lo is not None and args.j_hi is not None:
         if args.j_lo >= args.j_hi:
-            _fail_validation(parser, f"--j-lo must be below --j-hi, got [{args.j_lo}, {args.j_hi}]")
+            raise ValueError(f"--j-lo must be below --j-hi, got [{args.j_lo}, {args.j_hi}]")
 
 
 def _summary_line(trace: synth.Trace) -> str:
@@ -187,21 +168,11 @@ def _summary_line(trace: synth.Trace) -> str:
 
 def _cmd_generate(args) -> int:
     if args.model == "fgn":
-        trace = synth.generate_fgn(
-            synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
-        )
+        trace = synth.generate_fgn(args.fgn_spec)
     elif args.model == "cascade":
-        trace = synth.generate_cascade(
-            synth.CascadeSpec(args.depth, args.multiplier, args.mass, args.seed,
-                              equal_split=args.equal_split)
-        )
+        trace = synth.generate_cascade(args.cascade_spec)
     else:
-        cascade_seed = args.seed if args.cascade_seed is None else args.cascade_seed
-        trace = synth.generate_multifractal(
-            synth.FgnSpec(args.hurst, args.length, args.variance, args.seed),
-            synth.CascadeSpec(args.depth, args.multiplier, args.mass, cascade_seed,
-                              equal_split=args.equal_split),
-        )
+        trace = synth.generate_multifractal(args.fgn_spec, args.cascade_spec)
     trace_io.write_trace(trace, args.out)
     print(f"wrote {args.out} [{args.model}] {_summary_line(trace)}")
     return 0
@@ -221,9 +192,9 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
-def _table_for(trace, max_order):
-    pyramid = build_pyramid(trace)
-    return cumulants.cumulant_scaling_table(pyramid, max_order)
+def _table_for(trace, *orders):
+    """Cumulant table deep enough for every order given."""
+    return cumulants.cumulant_scaling_table(build_pyramid(trace), max(orders))
 
 
 def _cmd_cumulants(args) -> int:
@@ -242,41 +213,38 @@ def _diagram_for(trace, family, levels):
     return wavelet.logscale_diagram(trace, spec), levels
 
 
+def _fit_window(args, default):
+    """--j-lo/--j-hi, each falling back to the method's default endpoint."""
+    return (default[0] if args.j_lo is None else args.j_lo,
+            default[1] if args.j_hi is None else args.j_hi)
+
+
 def _cmd_hurst(args) -> int:
     trace = trace_io.read_trace(args.input)
-    window = None
-    if args.j_lo is not None or args.j_hi is not None:
-        j_max = float(np.floor(np.log2(len(trace)))) - 3
-        window = (
-            args.j_lo if args.j_lo is not None else 0.0,
-            args.j_hi if args.j_hi is not None else j_max,
-        )
     if args.method == "wavelet":
         diagram, levels = _diagram_for(trace, args.family, args.levels)
-        j1, j2 = wavelet.default_fit_range(levels)
-        j1 = args.j1 if args.j1 is not None else j1
-        j2 = args.j2 if args.j2 is not None else j2
-        fit = wavelet.wavelet_hurst(diagram, j1, j2)
-        print(f"method=wavelet family={args.family} octaves=[{j1},{j2}]")
+        j_lo, j_hi = _fit_window(args, wavelet.default_fit_range(levels))
+        fit = wavelet.wavelet_hurst(diagram, j_lo, j_hi)
+        print(f"method=wavelet family={args.family} octaves=[{j_lo:g},{j_hi:g}]")
         print(f"alpha = {fit.alpha:.4f}  r2 = {fit.r_squared:.4f}")
         print(f"Hurst estimate: {fit.hurst:.4f}")
         if args.out:
             trace_io.write_curve(diagram, args.out)
         return 0
-    order = 2 if args.method == "variance" else args.order
-    table = _table_for(trace, max(args.max_order, order))
-    fit = scaling.fit_loglog(table, order, window)
-    print(f"method={args.method} order={order} octaves=[{fit.window[0]:g},{fit.window[1]:g}] "
-          f"points={fit.points_used}")
-    if args.method == "cumulant":
-        spectrum = scaling.hurst_spectrum(table, window)
-        for m in sorted(spectrum.entries):
-            h, r2 = spectrum.entries[m]
-            print(f"H({m}) = {h:.4f}  (r2 = {r2:.4f})")
-        for m in sorted(spectrum.omitted):
-            print(f"H({m}): omitted - {spectrum.omitted[m]}")
-        if args.out:
-            trace_io.write_curve(spectrum, args.out)
+    table = _table_for(trace, args.max_order, args.order)
+    octaves = np.log2(table.scales)
+    window = _fit_window(args, (octaves[0], octaves[-1]))
+    fit = scaling.fit_loglog(table, args.order, window)
+    print(f"method=cumulant order={args.order} "
+          f"octaves=[{fit.window[0]:g},{fit.window[1]:g}] points={fit.points_used}")
+    spectrum = scaling.hurst_spectrum(table, window)
+    for m in sorted(spectrum.entries):
+        h, r2 = spectrum.entries[m]
+        print(f"H({m}) = {h:.4f}  (r2 = {r2:.4f})")
+    for m in sorted(spectrum.omitted):
+        print(f"H({m}): omitted - {spectrum.omitted[m]}")
+    if args.out:
+        trace_io.write_curve(spectrum, args.out)
     print(f"Hurst estimate: {fit.hurst():.4f}  (slope {fit.slope:.4f}, r2 {fit.r_squared:.4f})")
     return 0
 
@@ -301,7 +269,7 @@ def _knee_report(curve, threshold):
 def _cmd_locality(args) -> int:
     trace = trace_io.read_trace(args.input)
     if args.method == "cumulant":
-        table = _table_for(trace, max(2, args.order))
+        table = _table_for(trace, 2, args.order)
         curve = scaling.locality_curve(table, args.order, args.window)
     else:
         diagram, _ = _diagram_for(trace, args.family, args.levels)
@@ -313,27 +281,6 @@ def _cmd_locality(args) -> int:
         print(line)
     if args.out:
         trace_io.write_curve(curve, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_wavelet(args) -> int:
-    trace = trace_io.read_trace(args.input)
-    diagram, levels = _diagram_for(trace, args.family, args.levels)
-    print(f"logscale diagram: family={args.family} levels={levels}")
-    print("octave,log2_energy,count")
-    for j in diagram.octaves:
-        mu = diagram.energy[j]
-        log2_mu = f"{np.log2(mu):.6f}" if mu > 0 else "nan"
-        print(f"{j},{log2_mu},{diagram.counts[j]}")
-    j1, j2 = wavelet.default_fit_range(levels)
-    j1 = args.j1 if args.j1 is not None else j1
-    j2 = args.j2 if args.j2 is not None else j2
-    fit = wavelet.wavelet_hurst(diagram, j1, j2)
-    print(f"alpha = {fit.alpha:.4f}  H = {fit.hurst:.4f}  r2 = {fit.r_squared:.4f} "
-          f"octaves=[{j1},{j2}]")
-    if args.out:
-        trace_io.write_curve(diagram, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -351,7 +298,7 @@ REPORT_FILES = (
 def _cmd_report(args) -> int:
     trace = trace_io.read_trace(args.input)
     os.makedirs(args.outdir, exist_ok=True)
-    table = _table_for(trace, args.max_order)
+    table = _table_for(trace, args.max_order, args.order)
     spectrum = scaling.hurst_spectrum(table)
     curve_c = scaling.locality_curve(table, args.order, args.window)
     diagram, levels = _diagram_for(trace, args.family, args.levels)
@@ -401,7 +348,6 @@ _COMMANDS = {
     "cumulants": _cmd_cumulants,
     "hurst": _cmd_hurst,
     "locality": _cmd_locality,
-    "wavelet": _cmd_wavelet,
     "report": _cmd_report,
 }
 

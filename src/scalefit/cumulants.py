@@ -10,7 +10,9 @@ order.
 Central power sums are computed with exact (fsum) accumulation after
 pre-centering by the sample mean, which controls cancellation and
 makes negation parity exact: negating the input negates k1, k3, k5
-bitwise and leaves k2, k4, k6 bitwise unchanged.
+bitwise and leaves k2, k4, k6 bitwise unchanged. The centred sample is
+scaled by a power of two to unit magnitude first, so the power sums
+cannot overflow; the scaling is exact and is undone on the results.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .scaling import ScalingDiagram
 
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
@@ -49,6 +53,8 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
     if max_order == 1:
         return out
     d = x - mean
+    _, exponent = np.frexp(np.abs(d).max())
+    d = np.ldexp(d, -exponent)
     # explicit multiplication chain: exactly rounded per step and
     # odd-symmetric under negation, unlike libm pow
     s = {}
@@ -76,6 +82,7 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
             + 30 * (nn - 1) * (nn - 2) * s[2] ** 3
         )
         out[5] = num / ((nn - 1) * (nn - 2) * (nn - 3) * (nn - 4) * (nn - 5))
+    out[1:] = np.ldexp(out[1:], exponent * np.arange(2, max_order + 1))
     return out
 
 
@@ -117,6 +124,22 @@ class CumulantTable:
 
     def usable_scales(self, m: int) -> list:
         return [n for n in self.scales if self.usable[(m, n)]]
+
+    def scaling_diagram(self, m: int) -> ScalingDiagram:
+        """log2|k_m| against log2 n, unweighted; H = slope / m."""
+        if m not in self.orders:
+            raise ValueError(f"order {m} not present in table (orders {self.orders})")
+        values = np.abs([self.values[(m, n)] for n in self.scales])
+        usable = np.array([self.usable[(m, n)] for n in self.scales], dtype=bool)
+        return ScalingDiagram(
+            label=f"order {m}",
+            octaves=np.log2(np.array(self.scales, dtype=float)),
+            log2_stat=np.log2(values, out=np.full(values.size, np.nan), where=usable),
+            weights=None,
+            usable=usable,
+            shift=0.0,
+            divisor=float(m),
+        )
 
 
 def _cell_usable(m: int, value: float, k2: float, blocks: int) -> bool:

@@ -1,17 +1,22 @@
 """Power-law scaling fits and scale-dependent Hurst estimation.
 
-The order-m cumulant of an aggregated self-similar series grows as a
-power of the block size, so log2|k_m| regressed against log2 n has
-slope m*H(m). A constant H(m) across orders indicates a monofractal
-(strictly self-similar) series; variation with m indicates
-multifractality. Sliding the regression window across scales produces
-a locality curve; a change of slope in such a curve (the knee) marks
-the scale where the estimate becomes regime-dependent.
+Both estimators fit the same object, a ScalingDiagram: per octave, the
+log2 of a scale statistic, an optional regression weight, a usable
+flag, and a linear map from slope to Hurst exponent. The order-m
+cumulant of an aggregated self-similar series grows as a power of the
+block size, so log2|k_m| against log2 n has slope m*H(m); the wavelet
+logscale diagram (Abry & Veitch 1998) has slope 2H - 1. A constant H(m)
+across orders indicates a monofractal (strictly self-similar) series;
+variation with m indicates multifractality. Sliding the fit window
+across octaves produces a locality curve; a change of slope in such a
+curve (the knee) marks the scale where the estimate becomes
+regime-dependent.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,55 +113,100 @@ class KneePoint:
     split_sse: float
 
 
-def fit_loglog(table, m: int, window=None, weight_by_blocks: bool = False) -> ScalingFit:
+class DiagramFit(NamedTuple):
+    """Line fit of a ScalingDiagram over an inclusive octave window."""
+
+    slope: float
+    intercept: float
+    r_squared: float
+    points_used: int
+    window: tuple
+
+
+@dataclass(frozen=True)
+class ScalingDiagram:
+    """log2 of a scale statistic against octave, ready for line fits.
+
+    weights is None for ordinary least squares. Points whose usable flag
+    is False (a statistic that is numerically or statistically zero)
+    never enter a fit. H = (slope + shift) / divisor. label names the
+    statistic in error messages.
+    """
+
+    label: str
+    octaves: np.ndarray
+    log2_stat: np.ndarray
+    weights: np.ndarray | None
+    usable: np.ndarray
+    shift: float
+    divisor: float
+
+    def hurst(self, slope: float) -> float:
+        return (slope + self.shift) / self.divisor
+
+    def fit(self, window=None) -> DiagramFit:
+        """Fit over the usable points of an inclusive octave window
+        (j_lo, j_hi); None spans every octave. At least 3 points needed."""
+        if window is None:
+            window = (self.octaves.min(), self.octaves.max())
+        j_lo, j_hi = float(window[0]), float(window[1])
+        keep = self.usable & (self.octaves >= j_lo - 1e-12) & (self.octaves <= j_hi + 1e-12)
+        used = int(keep.sum())
+        if used < 3:
+            raise InsufficientScalesError(
+                f"{self.label}: only {used} usable scales in octave window "
+                f"[{j_lo:g}, {j_hi:g}]; at least 3 are required"
+            )
+        weights = None if self.weights is None else self.weights[keep]
+        slope, intercept, r_squared, _ = _ols(self.octaves[keep], self.log2_stat[keep], weights)
+        return DiagramFit(slope, intercept, r_squared, used, (j_lo, j_hi))
+
+    def locality(self, window_width: int) -> tuple:
+        """(window center, H) for windows of window_width consecutive
+        octaves, one anchored at each octave. Windows with fewer than 3
+        usable points are skipped; fewer than 2 fitted windows is an
+        error."""
+        if window_width < 3:
+            raise ValueError(f"window_width must be at least 3 octaves, got {window_width}")
+        octaves = np.unique(self.octaves)
+        points = []
+        for j0 in octaves:
+            j1 = j0 + window_width - 1
+            if j1 > octaves[-1] + 1e-12:
+                break
+            try:
+                fit = self.fit((j0, j1))
+            except InsufficientScalesError:
+                continue
+            points.append((float(j0 + (window_width - 1) / 2.0), float(self.hurst(fit.slope))))
+        if len(points) < 2:
+            raise InsufficientScalesError(
+                f"{self.label}: fewer than 2 sliding windows of width {window_width} "
+                f"could be fitted over octaves {octaves[0]:g}..{octaves[-1]:g}"
+            )
+        return tuple(points)
+
+
+def fit_loglog(table, m: int, window=None) -> ScalingFit:
     """OLS of log2|k_m| against log2 n over usable scales in a window.
 
     window is an inclusive octave range (j_lo, j_hi); None uses every
-    scale in the table. Weighting by block counts is off by default.
+    scale in the table.
     """
-    if m not in table.orders:
-        raise ValueError(f"order {m} not present in table (orders {table.orders})")
-    octaves = np.log2(np.array(table.scales, dtype=float))
-    if window is None:
-        window = (float(octaves.min()), float(octaves.max()))
-    j_lo, j_hi = float(window[0]), float(window[1])
-    xs, ys, ws = [], [], []
-    for n, j in zip(table.scales, octaves):
-        if not (j_lo - 1e-12 <= j <= j_hi + 1e-12):
-            continue
-        if not table.usable[(m, n)]:
-            continue
-        xs.append(j)
-        ys.append(np.log2(abs(table.values[(m, n)])))
-        ws.append(table.block_counts[n])
-    if len(xs) < 3:
-        raise InsufficientScalesError(
-            f"order {m}: only {len(xs)} usable scales in octave window "
-            f"[{j_lo:g}, {j_hi:g}]; at least 3 are required"
-        )
-    slope, intercept, r_squared, _ = _ols(
-        np.array(xs), np.array(ys), np.array(ws, dtype=float) if weight_by_blocks else None
-    )
-    fit = ScalingFit(
-        order=m,
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        window=(j_lo, j_hi),
-        points_used=len(xs),
-    )
-    _warn_if_outside_unit(fit.hurst(), f"fit_loglog(order={m})")
-    return fit
+    fit = table.scaling_diagram(m).fit(window)
+    result = ScalingFit(m, fit.slope, fit.intercept, fit.r_squared, fit.window, fit.points_used)
+    _warn_if_outside_unit(result.hurst(), f"fit_loglog(order={m})")
+    return result
 
 
-def hurst_spectrum(table, window=None, weight_by_blocks: bool = False) -> HurstCurve:
+def hurst_spectrum(table, window=None) -> HurstCurve:
     """H(m) = slope/m for every fittable order; others recorded as omitted."""
     entries = {}
     omitted = {}
     resolved_window = None
     for m in table.orders:
         try:
-            fit = fit_loglog(table, m, window, weight_by_blocks)
+            fit = fit_loglog(table, m, window)
         except InsufficientScalesError as exc:
             omitted[m] = str(exc)
             continue
@@ -170,31 +220,10 @@ def hurst_spectrum(table, window=None, weight_by_blocks: bool = False) -> HurstC
 
 
 def locality_curve(table, m: int, window_width: int = 4) -> LocalityCurve:
-    """Hurst estimates from a window slid across the table's octaves.
-
-    Windows are anchored at each scale's octave and span window_width
-    consecutive octaves; windows with fewer than 3 usable scales are
-    skipped.
-    """
-    if window_width < 3:
-        raise ValueError(f"window_width must be at least 3 octaves, got {window_width}")
-    octaves = sorted(set(float(np.log2(n)) for n in table.scales))
-    points = []
-    for j0 in octaves:
-        j1 = j0 + window_width - 1
-        if j1 > octaves[-1] + 1e-12:
-            break
-        try:
-            fit = fit_loglog(table, m, (j0, j1))
-        except InsufficientScalesError:
-            continue
-        points.append((j0 + (window_width - 1) / 2.0, fit.hurst()))
-    if len(points) < 2:
-        raise InsufficientScalesError(
-            f"order {m}: fewer than 2 sliding windows of width {window_width} "
-            f"could be fitted over octaves {octaves[0]:g}..{octaves[-1]:g}"
-        )
-    return LocalityCurve(points=tuple(points), order=m, window_width=window_width)
+    """Order-m Hurst estimates from a window slid across the table's
+    octaves (see ScalingDiagram.locality)."""
+    points = table.scaling_diagram(m).locality(window_width)
+    return LocalityCurve(points=points, order=m, window_width=window_width)
 
 
 MIN_KNEE_POINTS = 6

@@ -5,7 +5,9 @@ The logscale diagram plots log2 of the mean squared detail coefficient
 per octave against the octave; for a stationary long-range dependent
 series its slope alpha relates to the Hurst exponent by H = (alpha+1)/2.
 Octave energies are chi-square-like averages of n_j coefficients, so
-the regression is weighted by the coefficient counts.
+the regression is weighted by the coefficient counts. The diagram is
+fitted and slid as a scaling.ScalingDiagram, the same object the
+cumulant estimator fits.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scaling import LocalityCurve, _ols, _warn_if_outside_unit
+from .cumulants import NUMERICAL_ZERO_REL
+from .scaling import LocalityCurve, ScalingDiagram, _warn_if_outside_unit
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -81,6 +84,21 @@ class LogscaleDiagram:
     energy: dict
     counts: dict
 
+    def scaling_diagram(self) -> ScalingDiagram:
+        """log2 energy against octave, weighted by coefficient counts, with
+        zero-energy octaves unusable; H = (slope + 1) / 2."""
+        energy = np.array([self.energy[j] for j in self.octaves], dtype=float)
+        usable = energy > 0.0
+        return ScalingDiagram(
+            label="detail energy",
+            octaves=np.array(self.octaves, dtype=float),
+            log2_stat=np.log2(energy, out=np.full(energy.size, np.nan), where=usable),
+            weights=np.array([self.counts[j] for j in self.octaves], dtype=float),
+            usable=usable,
+            shift=1.0,
+            divisor=2.0,
+        )
+
 
 def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     taps = lo.size
@@ -121,7 +139,10 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
 
     Unlike the bare transform, diagram estimation requires at least 8
     detail coefficients at the coarsest octave (levels <= log2(n) - 3),
-    so every per-octave energy is an average of >= 8 terms.
+    so every per-octave energy is an average of >= 8 terms. Energies at
+    or below NUMERICAL_ZERO_REL times the input's mean square are set to
+    exactly 0: transform round-off leaves about 1e-32 of a constant
+    input's energy in its details, which a fit would read as a slope.
     """
     samples = np.asarray(getattr(trace_or_samples, "samples", trace_or_samples), dtype=float)
     if samples.size < 2 ** (spec.levels + 3):
@@ -130,10 +151,12 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
             f"{max_levels(samples.size)} octaves, got {spec.levels}"
         )
     result = dwt(samples, spec)
+    floor = NUMERICAL_ZERO_REL * float(samples @ samples) / samples.size
     energy = {}
     counts = {}
     for j, d in enumerate(result.details, start=1):
-        energy[j] = float(d @ d) / d.size
+        mu = float(d @ d) / d.size
+        energy[j] = mu if mu > floor else 0.0
         counts[j] = d.size
     return LogscaleDiagram(octaves=tuple(range(1, spec.levels + 1)), energy=energy, counts=counts)
 
@@ -153,54 +176,19 @@ def default_fit_range(levels: int):
     return DEFAULT_J1, levels - 1
 
 
-def wavelet_hurst(diagram: LogscaleDiagram, j1: int, j2: int) -> WaveletHurstFit:
-    """Weighted fit of log2 energy vs octave over [j1, j2].
-
-    Weights are the per-octave coefficient counts. H = (slope + 1)/2.
-    """
-    if j1 >= j2:
-        raise ValueError(f"octave range requires j1 < j2, got [{j1}, {j2}]")
-    octaves = [j for j in diagram.octaves if j1 <= j <= j2]
-    if len(octaves) < 3:
-        raise ValueError(
-            f"octave range [{j1}, {j2}] contains {len(octaves)} diagram octaves; "
-            f"at least 3 are required"
-        )
-    energies = np.array([diagram.energy[j] for j in octaves])
-    if np.any(energies <= 0.0):
-        raise ValueError(
-            f"zero detail energy in octave range [{j1}, {j2}] (constant input?); "
-            f"the logscale diagram has no slope there"
-        )
-    weights = np.array([diagram.counts[j] for j in octaves], dtype=float)
-    alpha, _, r_squared, _ = _ols(np.array(octaves, dtype=float), np.log2(energies), weights)
-    hurst = (alpha + 1.0) / 2.0
+def wavelet_hurst(diagram: LogscaleDiagram, j1, j2) -> WaveletHurstFit:
+    """Count-weighted fit of log2 energy vs octave over [j1, j2] with
+    H = (slope + 1)/2; zero-energy octaves are left out."""
+    scaling_diagram = diagram.scaling_diagram()
+    fit = scaling_diagram.fit((j1, j2))
+    hurst = scaling_diagram.hurst(fit.slope)
     _warn_if_outside_unit(hurst, "wavelet_hurst")
-    return WaveletHurstFit(hurst=hurst, alpha=alpha, r_squared=r_squared)
+    return WaveletHurstFit(hurst=hurst, alpha=fit.slope, r_squared=fit.r_squared)
 
 
 def wavelet_locality_curve(diagram: LogscaleDiagram, window_width: int = 4) -> LocalityCurve:
-    """wavelet_hurst slid across octave windows; same curve type as the
-    cumulant-based locality analysis, so knee detection applies
+    """The logscale diagram slid across octave windows; same curve type
+    as the cumulant-based locality analysis, so knee detection applies
     unchanged."""
-    if window_width < 3:
-        raise ValueError(f"window_width must be at least 3 octaves, got {window_width}")
-    octaves = diagram.octaves
-    if len(octaves) < window_width:
-        raise ValueError(
-            f"diagram with {len(octaves)} octaves cannot host windows of "
-            f"width {window_width}"
-        )
-    points = []
-    for j0 in octaves:
-        j1 = j0 + window_width - 1
-        if j1 > octaves[-1]:
-            break
-        fit = wavelet_hurst(diagram, j0, j1)
-        points.append((j0 + (window_width - 1) / 2.0, fit.hurst))
-    if len(points) < 2:
-        raise ValueError(
-            f"fewer than 2 windows of width {window_width} fit in octaves "
-            f"{octaves[0]}..{octaves[-1]}"
-        )
-    return LocalityCurve(points=tuple(points), order=2, window_width=window_width)
+    points = diagram.scaling_diagram().locality(window_width)
+    return LocalityCurve(points=points, order=2, window_width=window_width)

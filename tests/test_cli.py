@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from scalefit.cli import main
-from scalefit.trace_io import read_trace
+from scalefit.synth import FgnSpec, Trace, generate_fgn
+from scalefit.trace_io import read_trace, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -95,12 +96,16 @@ class TestHurst:
         estimate = float(out.strip().splitlines()[-1].split()[2])
         assert estimate == pytest.approx(0.6, abs=0.05)
 
-    def test_variance_method_matches_cumulant_order2(self, fgn_trace, capsys):
-        assert run("hurst", fgn_trace, "--method", "variance") == 0
-        var_est = float(capsys.readouterr().out.strip().splitlines()[-1].split()[2])
-        assert run("hurst", fgn_trace, "--method", "cumulant", "--order", 2) == 0
-        cum_est = float(capsys.readouterr().out.strip().splitlines()[-1].split()[2])
-        assert var_est == pytest.approx(cum_est, abs=1e-12)
+    def test_wavelet_window_flags(self, fgn_trace, capsys):
+        assert run("hurst", fgn_trace, "--method", "wavelet", "--j-lo", 4, "--j-hi", 9) == 0
+        assert "octaves=[4,9]" in capsys.readouterr().out
+
+    def test_wavelet_diagram_csv_out(self, fgn_trace, tmp_path, capsys):
+        out = tmp_path / "diagram.csv"
+        assert run("hurst", fgn_trace, "--method", "wavelet", "--family", "haar",
+                   "--out", out) == 0
+        assert out.read_text().splitlines()[0] == "octave,log2_energy,count"
+        assert "Hurst estimate" in capsys.readouterr().out
 
     def test_gaussian_order3_clean_diagnostic_exit_1(self, fgn_trace, capsys):
         assert run("hurst", fgn_trace, "--method", "cumulant", "--order", 3) == 1
@@ -140,6 +145,22 @@ class TestLocality:
         assert run("locality", fgn_trace, "--method", "wavelet") == 0
         assert "knee octave" in capsys.readouterr().out
 
+    def test_wavelet_zero_energy_octave_left_out(self, tmp_path, capsys):
+        """Haar octave 1 of a trace with every sample repeated twice is
+        zero up to round-off; it must not enter the first window's fit.
+        A constant trace has no usable octave at all."""
+        fgn = generate_fgn(FgnSpec(0.8, 2**16, 1.0, 7))
+        doubled, constant = tmp_path / "doubled.csv", tmp_path / "constant.csv"
+        write_trace(Trace(np.repeat(fgn.samples, 2)), doubled)
+        write_trace(Trace(np.full(2**12, 3.0)), constant)
+        curve = tmp_path / "curve.csv"
+        assert run("locality", doubled, "--method", "wavelet", "--family", "haar",
+                   "--out", curve) == 0
+        hurst = np.loadtxt(curve, delimiter=",", skiprows=1)[:, 1]
+        np.testing.assert_allclose(hurst, 0.8, atol=0.2)
+        assert run("locality", constant, "--method", "wavelet", "--family", "haar") == 1
+        assert "energy" in capsys.readouterr().err
+
 
 class TestAggregateAndCumulants:
     def test_aggregate_roundtrip(self, fgn_trace, tmp_path):
@@ -153,14 +174,6 @@ class TestAggregateAndCumulants:
         lines = out.read_text().splitlines()
         assert lines[0] == "order,scale,log2_abs_cumulant,usable"
         assert len(lines) == 1 + 4 * 14  # 4 orders x 14 dyadic scales
-
-
-class TestWaveletCommand:
-    def test_prints_diagram_and_estimate(self, fgn_trace, capsys):
-        assert run("wavelet", fgn_trace, "--family", "haar") == 0
-        out = capsys.readouterr().out
-        assert "octave,log2_energy,count" in out
-        assert "H = " in out
 
 
 class TestReport:
@@ -186,6 +199,23 @@ class TestReport:
         assert run("report", fgn_trace, "--outdir", out_b) == 0
         for name in os.listdir(out_a):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_order_above_max_order(self, tmp_path):
+        """The table is built deep enough for --order (order 5 cumulants
+        of a cascade are usable; those of Gaussian fGn are not)."""
+        trace = tmp_path / "cascade.csv"
+        assert run("generate", "--model", "cascade", "--depth", 16, "--seed", 3,
+                   "--out", trace) == 0
+        assert run("report", trace, "--outdir", tmp_path / "rep",
+                   "--order", 5, "--max-order", 4) == 0
+
+    def test_huge_magnitude_trace(self, tmp_path):
+        """Power sums of order 6 of 1e60-scale data overflow unless the
+        k-statistics are computed on a rescaled sample."""
+        trace = tmp_path / "huge.csv"
+        fgn = generate_fgn(FgnSpec(0.8, 4096, 1.0, 3))
+        write_trace(Trace(1e60 * fgn.samples), trace)
+        assert run("report", trace, "--outdir", tmp_path / "rep", "--max-order", 6) == 0
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code, captured = run_expecting_exit(
