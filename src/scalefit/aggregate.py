@@ -29,11 +29,16 @@ def _compensated_block_sums(blocks: np.ndarray) -> np.ndarray:
     return total + comp
 
 
+def check_block_size(n) -> None:
+    """Block sizes are positive integers."""
+    if n < 1 or int(n) != n:
+        raise ValueError(f"block size must be a positive integer, got {n}")
+
+
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
     """Sum non-overlapping blocks of size n; remainder samples dropped."""
     x = _as_samples(trace_or_samples)
-    if n < 1 or int(n) != n:
-        raise ValueError(f"block size must be a positive integer, got {n}")
+    check_block_size(n)
     if n > x.size:
         raise ValueError(f"block size {n} exceeds trace length {x.size}")
     n = int(n)
@@ -43,6 +48,7 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     return _compensated_block_sums(x[: num_blocks * n].reshape(num_blocks, n))
 
 
+# blocks (or wavelet coefficients) kept at the coarsest scale
 MIN_BLOCKS = 8
 
 
@@ -59,18 +65,15 @@ class AggregatePyramid:
 
 
 def dyadic_scales(length: int) -> list:
-    """Default scale set 2**0 .. 2**(J-3) for a trace of ~2**J samples.
-
-    The cap guarantees at least 8 blocks at the coarsest scale.
-    """
-    j = int(np.floor(np.log2(length)))
-    return [2**e for e in range(0, max(j - 3, 0) + 1)]
+    """Default scale set: 2**0 up to the coarsest power of two that still
+    leaves MIN_BLOCKS blocks (2**0 alone for a shorter trace)."""
+    return [2**e for e in range(max((int(length) // MIN_BLOCKS).bit_length(), 1))]
 
 
 def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
     """Aggregate a trace at every requested scale (default: dyadic).
 
-    Every scale must leave at least 8 full blocks. Scale 1, when
+    Every scale must leave at least MIN_BLOCKS full blocks. Scale 1, when
     present, maps to the source samples themselves.
     """
     x = _as_samples(trace_or_samples)
@@ -80,8 +83,7 @@ def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
     if not scales:
         raise ValueError("scales must be nonempty")
     for n in scales:
-        if n < 1:
-            raise ValueError(f"scales must be positive integers, got {n}")
+        check_block_size(n)
         if x.size // n < MIN_BLOCKS:
             raise ValueError(
                 f"scale {n} leaves {x.size // n} blocks of a length-{x.size} trace; "

@@ -3,9 +3,9 @@ plot-ready CSV reporting.
 
 Exit codes: 0 success, 1 computation/estimation failure, 2 usage or
 validation failure. All flag values are validated before any
-computation starts, by building the spec objects the modules validate
-themselves, so no flag combination can reach a module with an
-out-of-range argument. Set the environment variable
+computation starts, each by the module that owns its rule (the spec
+objects and the check functions), so no flag combination can reach a
+module with an out-of-range argument. Set the environment variable
 SCALEFIT_FIXED_CLOCK to freeze recorded timestamps and make
 generate -> report pipelines byte-reproducible.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,16 +21,9 @@ import numpy as np
 
 from . import cumulants, scaling, synth, trace_io, wavelet
 from .aggregate import aggregate as aggregate_series
-from .aggregate import build_pyramid
+from .aggregate import build_pyramid, check_block_size
 
 DEFAULT_KNEE_THRESHOLD = 0.2
-
-
-def _positive_int(text):
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,6 +36,26 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # flags shared by several subcommands, each declared once
+    trace, method, table, order, family, slide = (argparse.ArgumentParser(add_help=False)
+                                                  for _ in range(6))
+    trace.add_argument("input", help="trace CSV")
+    method.add_argument("--method", choices=("cumulant", "wavelet"), default="cumulant",
+                        help="estimator [cumulant]")
+    table.add_argument("--max-order", type=int, default=cumulants.DEFAULT_ORDER,
+                       help=f"highest cumulant order of the table [{cumulants.DEFAULT_ORDER}]")
+    order.add_argument("--order", type=int, default=2,
+                       help="cumulant order of the fit or locality curve [2]")
+    family.add_argument("--family", choices=wavelet.FAMILIES, default="db4",
+                        help="wavelet family [db4]")
+    family.add_argument("--levels", type=int, default=None,
+                        help="wavelet pyramid depth [deepest the trace length allows]")
+    slide.add_argument("--window", type=int, default=4,
+                       help="locality window width in octaves [4]")
+    slide.add_argument("--knee-threshold", type=float, default=DEFAULT_KNEE_THRESHOLD,
+                       help="knee is significant when sse_reduction >= threshold * "
+                            f"single-line SSE [{DEFAULT_KNEE_THRESHOLD}]")
 
     gen = sub.add_parser("generate", help="synthesize a trace and write it as CSV")
     gen.add_argument("--model", required=True, choices=("fgn", "cascade", "multifractal"))
@@ -61,71 +75,39 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="degenerate cascade: every split is exactly (1/2, 1/2)")
     gen.add_argument("--out", required=True, help="output CSV path")
 
-    agp = sub.add_parser("aggregate", help="block-aggregate a trace at one scale")
-    agp.add_argument("input", help="trace CSV")
-    agp.add_argument("--scale", type=_positive_int, required=True, help="block size n")
+    agp = sub.add_parser("aggregate", parents=[trace],
+                         help="block-aggregate a trace at one scale")
+    agp.add_argument("--scale", type=int, required=True, help="block size n")
     agp.add_argument("--out", required=True, help="output CSV path")
 
-    cum = sub.add_parser("cumulants", help="cumulant scaling table over dyadic scales")
-    cum.add_argument("input", help="trace CSV")
-    cum.add_argument("--max-order", type=int, default=cumulants.DEFAULT_ORDER,
-                     help=f"highest cumulant order, 1..6 [{cumulants.DEFAULT_ORDER}]")
+    cum = sub.add_parser("cumulants", parents=[trace, table],
+                         help="cumulant scaling table over dyadic scales")
     cum.add_argument("--out", required=True, help="output CSV path")
 
-    hur = sub.add_parser("hurst", help="point estimate of the Hurst exponent")
-    hur.add_argument("input", help="trace CSV")
-    hur.add_argument("--method", choices=("cumulant", "wavelet"), default="cumulant")
-    hur.add_argument("--order", type=int, default=2,
-                     help="cumulant order for method=cumulant [2]")
-    hur.add_argument("--max-order", type=int, default=cumulants.DEFAULT_ORDER,
-                     help="table depth for the reported spectrum [4]")
+    hur = sub.add_parser("hurst", parents=[trace, method, order, table, family],
+                         help="point estimate of the Hurst exponent")
     hur.add_argument("--j-lo", type=float, default=None,
                      help="lowest octave of the fit window [cumulant: finest scale; wavelet: 3]")
     hur.add_argument("--j-hi", type=float, default=None,
                      help="highest octave of the fit window "
                           "[cumulant: coarsest scale; wavelet: levels-1]")
-    hur.add_argument("--family", choices=wavelet.FAMILIES, default="db4",
-                     help="wavelet family for method=wavelet [db4]")
-    hur.add_argument("--levels", type=int, default=None,
-                     help="wavelet pyramid depth [deepest with >= 8 coefficients]")
     hur.add_argument("--out", default=None, help="optional CSV (spectrum or diagram)")
 
-    loc = sub.add_parser("locality", help="Hurst-vs-scale curve and knee report")
-    loc.add_argument("input", help="trace CSV")
-    loc.add_argument("--method", choices=("cumulant", "wavelet"), default="cumulant")
-    loc.add_argument("--order", type=int, default=2, help="cumulant order [2]")
-    loc.add_argument("--window", type=int, default=4, help="window width in octaves, >= 3 [4]")
-    loc.add_argument("--family", choices=wavelet.FAMILIES, default="db4")
-    loc.add_argument("--levels", type=int, default=None)
-    loc.add_argument("--knee-threshold", type=float, default=DEFAULT_KNEE_THRESHOLD,
-                     help="knee is significant when sse_reduction >= threshold * "
-                          f"single-line SSE [{DEFAULT_KNEE_THRESHOLD}]")
+    loc = sub.add_parser("locality", parents=[trace, method, order, family, slide],
+                         help="Hurst-vs-scale curve and knee report")
     loc.add_argument("--out", default=None, help="optional locality-curve CSV")
 
-    rep = sub.add_parser("report", help="full analysis bundle: 6 CSVs plus a manifest")
-    rep.add_argument("input", help="trace CSV")
+    rep = sub.add_parser("report", parents=[trace, table, order, family, slide],
+                         help="full analysis bundle: 6 CSVs plus a manifest")
     rep.add_argument("--outdir", required=True, help="output directory (created if missing)")
-    rep.add_argument("--max-order", type=int, default=cumulants.DEFAULT_ORDER)
-    rep.add_argument("--order", type=int, default=2, help="locality-curve order [2]")
-    rep.add_argument("--window", type=int, default=4)
-    rep.add_argument("--family", choices=wavelet.FAMILIES, default="db4")
-    rep.add_argument("--levels", type=int, default=None)
-    rep.add_argument("--knee-threshold", type=float, default=DEFAULT_KNEE_THRESHOLD)
     return parser
-
-
-def _validate(parser, args):
-    try:
-        _check(args)
-    except ValueError as exc:
-        parser.error(str(exc))  # prints usage + message, exits 2
 
 
 def _check(args):
     """Raise ValueError for the first invalid flag; generate's specs are
-    kept on args."""
-    cmd = args.command
-    if cmd == "generate":
+    kept on args. The CLI owns only the input-file, fit-window and
+    knee-threshold rules; every other rule is checked by its owner."""
+    if args.command == "generate":
         if args.model != "cascade":
             args.fgn_spec = synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
         if args.model != "fgn":
@@ -134,26 +116,27 @@ def _check(args):
                 seed = args.cascade_seed
             args.cascade_spec = synth.CascadeSpec(args.depth, args.multiplier, args.mass,
                                                   seed, equal_split=args.equal_split)
-        if args.model == "multifractal" and args.length != 2**args.depth:
-            raise ValueError(f"--length {args.length} must equal 2**depth = {2**args.depth} "
-                             f"for the multifractal model")
+        if args.model == "multifractal":
+            synth.check_composite(args.fgn_spec, args.cascade_spec)
         return
+    flags = vars(args)
     if not os.path.exists(args.input):
         raise ValueError(f"input trace not found: {args.input}")
-    if cmd in ("cumulants", "hurst", "report"):
-        if not 1 <= args.max_order <= cumulants.MAX_ORDER:
-            raise ValueError(f"--max-order must be in 1..{cumulants.MAX_ORDER}, "
-                             f"got {args.max_order}")
-    if cmd in ("hurst", "locality", "report"):
-        if not 1 <= args.order <= cumulants.MAX_ORDER:
-            raise ValueError(f"--order must be in 1..{cumulants.MAX_ORDER}, got {args.order}")
-        if args.levels is not None:
-            wavelet.WaveletSpec(args.family, args.levels)
-    if cmd in ("locality", "report") and args.window < 3:
-        raise ValueError(f"--window must be at least 3 octaves, got {args.window}")
-    if cmd in ("locality", "report") and args.knee_threshold < 0:
+    for name in ("max_order", "order"):
+        if name in flags:
+            cumulants.check_order(flags[name], f"--{name.replace('_', '-')}")
+    if "scale" in flags:
+        check_block_size(args.scale)
+    if flags.get("levels") is not None:
+        wavelet.WaveletSpec(args.family, args.levels)
+    if "window" in flags:
+        scaling.check_window_width(args.window)
+    for name in ("j_lo", "j_hi", "knee_threshold"):
+        if flags.get(name) is not None and not math.isfinite(flags[name]):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {flags[name]}")
+    if flags.get("knee_threshold", 0.0) < 0.0:
         raise ValueError(f"--knee-threshold must be nonnegative, got {args.knee_threshold}")
-    if cmd == "hurst" and args.j_lo is not None and args.j_hi is not None:
+    if flags.get("j_lo") is not None and flags.get("j_hi") is not None:
         if args.j_lo >= args.j_hi:
             raise ValueError(f"--j-lo must be below --j-hi, got [{args.j_lo}, {args.j_hi}]")
 
@@ -202,8 +185,8 @@ def _cmd_cumulants(args) -> int:
     table = _table_for(trace, args.max_order)
     trace_io.write_curve(table, args.out)
     usable = sum(table.usable.values())
-    print(f"wrote {args.out}: orders 1..{args.max_order} x {len(table.scales)} scales "
-          f"({usable}/{len(table.values)} cells usable)")
+    print(f"wrote {args.out}: orders {table.orders[0]}..{table.orders[-1]} x "
+          f"{len(table.scales)} scales ({usable}/{len(table.values)} cells usable)")
     return 0
 
 
@@ -269,7 +252,7 @@ def _knee_report(curve, threshold):
 def _cmd_locality(args) -> int:
     trace = trace_io.read_trace(args.input)
     if args.method == "cumulant":
-        table = _table_for(trace, 2, args.order)
+        table = _table_for(trace, args.order)
         curve = scaling.locality_curve(table, args.order, args.window)
     else:
         diagram, _ = _diagram_for(trace, args.family, args.levels)
@@ -325,7 +308,7 @@ def _cmd_report(args) -> int:
         "format": "scalefit-report/1",
         "input": os.path.basename(args.input),
         "parameters": {
-            "max_order": args.max_order,
+            "max_order": table.orders[-1],
             "order": args.order,
             "window": args.window,
             "family": args.family,
@@ -355,7 +338,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    try:
+        _check(args)
+    except ValueError as exc:
+        parser.error(str(exc))  # prints usage + message, exits 2
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:

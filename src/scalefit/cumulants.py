@@ -13,6 +13,10 @@ makes negation parity exact: negating the input negates k1, k3, k5
 bitwise and leaves k2, k4, k6 bitwise unchanged. The centred sample is
 scaled by a power of two to unit magnitude first, so the power sums
 cannot overflow; the scaling is exact and is undone on the results.
+
+check_order owns the order range 1..MAX_ORDER, and is_numerical_zero
+the numerical-zero test of both estimators, made in log2 against a
+centred second moment so that it cannot overflow.
 """
 from __future__ import annotations
 
@@ -26,20 +30,34 @@ from .scaling import ScalingDiagram
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
 
-# A table cell is unusable for log-log regression when it is
-# numerically zero relative to the scale set by the variance, or
-# statistically indistinguishable from zero against the i.i.d.
-# Gaussian noise floor sd(k_m) ~ sqrt(m!/K) * k2^{m/2}. The second
-# test never applies to order 2 (a variance is only "zero" for
-# degenerate data, which the first test catches).
+# A table cell is unusable for log-log regression when it is not
+# finite, numerically zero against k2, or, for orders other than 2 (a
+# variance is zero only on degenerate data), below NOISE_FLOOR_SIGMAS
+# times the i.i.d. Gaussian noise floor sd(k_m) ~ sqrt(m!/K) * k2^{m/2}.
 NUMERICAL_ZERO_REL = 1e-12
 NOISE_FLOOR_SIGMAS = 3.0
 
 
+def check_order(order, name: str = "max_order") -> None:
+    """Cumulant orders run from 1 to MAX_ORDER."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"{name} must be in 1..{MAX_ORDER}, got {order}")
+
+
+def _log2_abs(value: float) -> float:
+    return math.log2(abs(value)) if value else -math.inf
+
+
+def is_numerical_zero(value: float, variance: float, order: int = 2) -> bool:
+    """The numerical-zero rule of both estimators: |value| <=
+    NUMERICAL_ZERO_REL * variance**(order/2), variance being a centred
+    second moment, compared in log2 so that it cannot overflow."""
+    return _log2_abs(value) <= math.log2(NUMERICAL_ZERO_REL) + order / 2.0 * _log2_abs(variance)
+
+
 def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
     """Unbiased k-statistics k_1 .. k_max_order of a sample."""
-    if not 1 <= max_order <= MAX_ORDER:
-        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+    check_order(max_order)
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
@@ -82,7 +100,10 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
             + 30 * (nn - 1) * (nn - 2) * s[2] ** 3
         )
         out[5] = num / ((nn - 1) * (nn - 2) * (nn - 3) * (nn - 4) * (nn - 5))
-    out[1:] = np.ldexp(out[1:], exponent * np.arange(2, max_order + 1))
+    # a cumulant beyond the float range scales back to inf, which is the
+    # intended value: cumulant_scaling_table marks it unusable
+    with np.errstate(over="ignore"):
+        out[1:] = np.ldexp(out[1:], exponent * np.arange(2, max_order + 1))
     return out
 
 
@@ -143,19 +164,15 @@ class CumulantTable:
 
 
 def _cell_usable(m: int, value: float, k2: float, blocks: int) -> bool:
-    if abs(value) <= NUMERICAL_ZERO_REL * k2 ** (m / 2.0):
+    if not math.isfinite(value) or is_numerical_zero(value, k2, m):
         return False
-    if m != 2:
-        floor = NOISE_FLOOR_SIGMAS * math.sqrt(math.factorial(m) / blocks) * k2 ** (m / 2.0)
-        if abs(value) < floor:
-            return False
-    return True
+    noise = NOISE_FLOOR_SIGMAS * math.sqrt(math.factorial(m) / blocks)
+    return m == 2 or _log2_abs(value) >= math.log2(noise) + m / 2.0 * _log2_abs(k2)
 
 
 def cumulant_scaling_table(pyramid, max_order: int = DEFAULT_ORDER) -> CumulantTable:
     """Estimate k_1..k_max_order at every aggregation scale."""
-    if not 1 <= max_order <= MAX_ORDER:
-        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+    check_order(max_order)
     values = {}
     usable = {}
     block_counts = {}

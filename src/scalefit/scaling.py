@@ -25,6 +25,17 @@ class InsufficientScalesError(ValueError):
     """Fewer usable scales than a regression needs."""
 
 
+# points a line fit needs, so also a locality window and a knee segment
+MIN_FIT_POINTS = 3
+
+
+def check_window_width(window_width: int) -> None:
+    """A locality window spans at least MIN_FIT_POINTS octaves."""
+    if window_width < MIN_FIT_POINTS:
+        raise ValueError(f"window_width must be at least {MIN_FIT_POINTS} octaves, "
+                         f"got {window_width}")
+
+
 def _ols(x: np.ndarray, y: np.ndarray, w=None):
     """(Weighted) least squares line fit: slope, intercept, r^2, sse."""
     x = np.asarray(x, dtype=float)
@@ -146,16 +157,16 @@ class ScalingDiagram:
 
     def fit(self, window=None) -> DiagramFit:
         """Fit over the usable points of an inclusive octave window
-        (j_lo, j_hi); None spans every octave. At least 3 points needed."""
+        (j_lo, j_hi); None spans every octave. Needs MIN_FIT_POINTS points."""
         if window is None:
             window = (self.octaves.min(), self.octaves.max())
         j_lo, j_hi = float(window[0]), float(window[1])
         keep = self.usable & (self.octaves >= j_lo - 1e-12) & (self.octaves <= j_hi + 1e-12)
         used = int(keep.sum())
-        if used < 3:
+        if used < MIN_FIT_POINTS:
             raise InsufficientScalesError(
                 f"{self.label}: only {used} usable scales in octave window "
-                f"[{j_lo:g}, {j_hi:g}]; at least 3 are required"
+                f"[{j_lo:g}, {j_hi:g}]; at least {MIN_FIT_POINTS} are required"
             )
         weights = None if self.weights is None else self.weights[keep]
         slope, intercept, r_squared, _ = _ols(self.octaves[keep], self.log2_stat[keep], weights)
@@ -163,11 +174,10 @@ class ScalingDiagram:
 
     def locality(self, window_width: int) -> tuple:
         """(window center, H) for windows of window_width consecutive
-        octaves, one anchored at each octave. Windows with fewer than 3
-        usable points are skipped; fewer than 2 fitted windows is an
+        octaves, one anchored at each octave. Windows with too few usable
+        points to fit are skipped; fewer than 2 fitted windows is an
         error."""
-        if window_width < 3:
-            raise ValueError(f"window_width must be at least 3 octaves, got {window_width}")
+        check_window_width(window_width)
         octaves = np.unique(self.octaves)
         points = []
         for j0 in octaves:
@@ -227,14 +237,13 @@ def locality_curve(table, m: int, window_width: int = 4) -> LocalityCurve:
 
 
 MIN_KNEE_POINTS = 6
-MIN_SEGMENT_POINTS = 3
 
 
 def detect_knee(curve_or_xy) -> KneePoint:
     """Exhaustive best two-segment OLS split of a curve.
 
     Every admissible breakpoint (at a data point, shared by both
-    segments, with at least 3 points per side) is tried; the split
+    segments, with at least MIN_FIT_POINTS points per side) is tried; the split
     minimizing total SSE wins. sse_reduction is measured against the
     single-line fit and is always >= 0.
     """
@@ -251,7 +260,7 @@ def detect_knee(curve_or_xy) -> KneePoint:
         raise ValueError(f"knee detection needs at least {MIN_KNEE_POINTS} points, got {x.size}")
     _, _, _, single_sse = _ols(x, y)
     best = None
-    for i in range(MIN_SEGMENT_POINTS - 1, x.size - MIN_SEGMENT_POINTS + 1):
+    for i in range(MIN_FIT_POINTS - 1, x.size - MIN_FIT_POINTS + 1):
         ls, _, _, lsse = _ols(x[: i + 1], y[: i + 1])
         rs, _, _, rsse = _ols(x[i:], y[i:])
         total = lsse + rsse

@@ -42,6 +42,17 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_fgn_params(hurst, variance) -> None:
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must be in the open interval (0, 1), got {hurst}")
+    _check_positive("variance", variance)
+
+
 @dataclass(frozen=True)
 class FgnSpec:
     """Parameters of a fractional Gaussian noise trace."""
@@ -52,12 +63,9 @@ class FgnSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must be in the open interval (0, 1), got {self.hurst}")
+        _check_fgn_params(self.hurst, self.variance)
         if not _is_power_of_two(self.length) or self.length < 16:
             raise ValueError(f"length must be a power of two >= 16, got {self.length}")
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
         check_seed(self.seed)
 
 
@@ -80,10 +88,8 @@ class CascadeSpec:
     def __post_init__(self):
         if not isinstance(self.depth, (int, np.integer)) or self.depth < 2:
             raise ValueError(f"depth must be an integer >= 2, got {self.depth}")
-        if not self.multiplier_param > 0.0:
-            raise ValueError(f"multiplier_param must be positive, got {self.multiplier_param}")
-        if not self.total_mass > 0.0:
-            raise ValueError(f"total_mass must be positive, got {self.total_mass}")
+        _check_positive("multiplier_param", self.multiplier_param)
+        _check_positive("total_mass", self.total_mass)
         check_seed(self.seed)
 
 
@@ -111,13 +117,14 @@ def fgn_autocovariance(hurst: float, variance: float, lag: int) -> float:
     gamma(k) = (variance/2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H});
     gamma(0) = variance, and gamma(k) = 0 for all k >= 1 when H = 1/2.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must be in (0, 1), got {hurst}")
-    if not variance > 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    _check_fgn_params(hurst, variance)
     if lag < 0 or int(lag) != lag:
         raise ValueError(f"lag must be a nonnegative integer, got {lag}")
-    k = float(lag)
+    return _fgn_gamma(hurst, variance, float(lag))
+
+
+def _fgn_gamma(hurst: float, variance: float, k: float) -> float:
+    """fgn_autocovariance's formula, for parameters already checked."""
     two_h = 2.0 * hurst
     return 0.5 * variance * (abs(k + 1.0) ** two_h - 2.0 * abs(k) ** two_h + abs(k - 1.0) ** two_h)
 
@@ -147,7 +154,7 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     zero mean. Output is deterministic given the spec seed.
     """
     n = spec.length
-    gamma = np.array([fgn_autocovariance(spec.hurst, spec.variance, k) for k in range(n + 1)])
+    gamma = np.array([_fgn_gamma(spec.hurst, spec.variance, float(k)) for k in range(n + 1)])
     lam = _embedding_eigenvalues(gamma)
     z = standard_normals(make_rng(spec.seed), 2 * n)
     g = np.empty(2 * n, dtype=complex)
@@ -210,6 +217,13 @@ def generate_cascade(spec: CascadeSpec) -> Trace:
     return Trace(samples, meta)
 
 
+def check_composite(fgn: FgnSpec, cascade: CascadeSpec) -> None:
+    """The composite's rule: one cascade cell per fGn sample."""
+    if fgn.length != 2**cascade.depth:
+        raise ValueError(f"length {fgn.length} must equal 2**depth = {2**cascade.depth}, "
+                         f"the cell count of the cascade")
+
+
 def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     """Cascade-modulated composite: x(k) * sqrt(N * mu(k)).
 
@@ -218,10 +232,7 @@ def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     equal-split limit mu(k) = 1/N and the composite reproduces the fGn
     sample for sample.
     """
-    if fgn.length != 2**cascade.depth:
-        raise ValueError(
-            f"fgn length {fgn.length} must equal 2**cascade.depth = {2**cascade.depth}"
-        )
+    check_composite(fgn, cascade)
     base = generate_fgn(fgn)
     masses = _cascade_masses(cascade)
     mu = masses / math.fsum(masses)

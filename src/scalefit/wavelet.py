@@ -5,9 +5,10 @@ The logscale diagram plots log2 of the mean squared detail coefficient
 per octave against the octave; for a stationary long-range dependent
 series its slope alpha relates to the Hurst exponent by H = (alpha+1)/2.
 Octave energies are chi-square-like averages of n_j coefficients, so
-the regression is weighted by the coefficient counts. The diagram is
-fitted and slid as a scaling.ScalingDiagram, the same object the
-cumulant estimator fits.
+the regression is weighted by the coefficient counts. Energies follow
+the cumulant table's numerical-zero rule, against the centred mean
+square. The diagram is fitted and slid as a scaling.ScalingDiagram, the
+same object the cumulant estimator fits.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cumulants import NUMERICAL_ZERO_REL
+from .aggregate import _as_samples, dyadic_scales
+from .cumulants import is_numerical_zero
 from .scaling import LocalityCurve, ScalingDiagram, _warn_if_outside_unit
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -62,8 +64,8 @@ class WaveletSpec:
 
 
 def max_levels(length: int) -> int:
-    """Deepest pyramid keeping >= 8 detail coefficients per octave."""
-    return max(int(np.log2(length)) - 3, 1)
+    """Deepest pyramid keeping aggregate.MIN_BLOCKS coefficients per octave."""
+    return max(len(dyadic_scales(length)) - 1, 1)
 
 
 @dataclass
@@ -137,26 +139,29 @@ def dwt(series, spec: WaveletSpec) -> DwtResult:
 def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     """Mean squared detail coefficient per octave j = 1..levels.
 
-    Unlike the bare transform, diagram estimation requires at least 8
-    detail coefficients at the coarsest octave (levels <= log2(n) - 3),
-    so every per-octave energy is an average of >= 8 terms. Energies at
-    or below NUMERICAL_ZERO_REL times the input's mean square are set to
-    exactly 0: transform round-off leaves about 1e-32 of a constant
-    input's energy in its details, which a fit would read as a slope.
+    Unlike the bare transform, the diagram needs aggregate.MIN_BLOCKS
+    detail coefficients at its coarsest octave. The samples are centred
+    first: the wavelets' vanishing moment makes the diagram blind to the
+    mean, but the filter taps sum to zero only to round-off, so an offset
+    would leak into every octave. Energies that are numerically zero
+    (cumulants.is_numerical_zero) against the centred mean square are
+    set to exactly 0 and never fitted.
     """
-    samples = np.asarray(getattr(trace_or_samples, "samples", trace_or_samples), dtype=float)
-    if samples.size < 2 ** (spec.levels + 3):
+    samples = _as_samples(trace_or_samples)
+    deepest = len(dyadic_scales(samples.size)) - 1  # octave j: one coefficient per 2**j samples
+    if spec.levels > deepest:
         raise ValueError(
             f"series of length {samples.size} supports a diagram of at most "
-            f"{max_levels(samples.size)} octaves, got {spec.levels}"
+            f"{deepest} octaves, got {spec.levels}"
         )
-    result = dwt(samples, spec)
-    floor = NUMERICAL_ZERO_REL * float(samples @ samples) / samples.size
+    centred = samples - samples.mean()
+    variance = float(centred @ centred) / centred.size
+    result = dwt(centred, spec)
     energy = {}
     counts = {}
     for j, d in enumerate(result.details, start=1):
         mu = float(d @ d) / d.size
-        energy[j] = mu if mu > floor else 0.0
+        energy[j] = 0.0 if is_numerical_zero(mu, variance) else mu
         counts[j] = d.size
     return LogscaleDiagram(octaves=tuple(range(1, spec.levels + 1)), energy=energy, counts=counts)
 

@@ -83,6 +83,45 @@ class TestGenerate:
         assert "power of two" in captured.err
 
 
+INVALID_FLAGS = [
+    (["hurst", "{trace}", "--order", 0], "got 0"),
+    (["report", "{trace}", "--outdir", "{out}", "--order", 7], "got 7"),
+    (["cumulants", "{trace}", "--max-order", 0, "--out", "{out}"], "got 0"),
+    (["hurst", "{trace}", "--max-order", 7], "got 7"),
+    (["locality", "{trace}", "--window", 2], "got 2"),
+    (["locality", "{trace}", "--knee-threshold", -1], "got -1"),
+    (["report", "{trace}", "--outdir", "{out}", "--knee-threshold", "nan"], "got nan"),
+    (["hurst", "{trace}", "--j-lo", 5, "--j-hi", 4], "[5.0, 4.0]"),
+    (["hurst", "{trace}", "--method", "wavelet", "--j-lo", "nan"], "got nan"),
+    (["hurst", "{trace}", "--method", "wavelet", "--levels", 0], "got 0"),
+    (["aggregate", "{trace}", "--scale", 0, "--out", "{out}"], "got 0"),
+    (["generate", "--model", "fgn", "--hurst", 1.2, "--out", "{out}"], "got 1.2"),
+    (["generate", "--model", "fgn", "--length", 1000, "--out", "{out}"], "got 1000"),
+    (["generate", "--model", "cascade", "--depth", 1, "--out", "{out}"], "got 1"),
+    (["generate", "--model", "multifractal", "--length", 1024, "--depth", 9,
+      "--out", "{out}"], "1024"),
+    (["generate", "--model", "fgn", "--variance", "inf", "--out", "{out}"], "got inf"),
+    (["generate", "--model", "cascade", "--multiplier", "inf", "--out", "{out}"], "got inf"),
+    (["generate", "--model", "multifractal", "--length", 1024, "--depth", 10,
+      "--mass", "inf", "--out", "{out}"], "got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, named", INVALID_FLAGS,
+                         ids=[" ".join(str(a) for a in argv if "{" not in str(a))
+                              for argv, _ in INVALID_FLAGS])
+def test_invalid_flag_exit_2(fgn_trace, tmp_path, capsys, argv, named):
+    """Every invalid flag is rejected before any computation, with exit 2
+    and one error line that names the bad value."""
+    out = tmp_path / "out"
+    code, captured = run_expecting_exit(
+        capsys, *[str(a).format(trace=fgn_trace, out=out) for a in argv])
+    assert code == 2
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], captured.err
+    assert not out.exists()
+
+
 class TestHurst:
     def test_cumulant_estimate_near_target(self, fgn_trace, capsys):
         assert run("hurst", fgn_trace, "--method", "cumulant", "--order", 2) == 0
@@ -208,6 +247,19 @@ class TestReport:
                    "--out", trace) == 0
         assert run("report", trace, "--outdir", tmp_path / "rep",
                    "--order", 5, "--max-order", 4) == 0
+
+    def test_manifest_records_built_table_depth(self, tmp_path):
+        """--order deeper than --max-order deepens the table; the manifest
+        records the depth actually written."""
+        trace = tmp_path / "cascade.csv"
+        assert run("generate", "--model", "cascade", "--depth", 16, "--seed", 3,
+                   "--out", trace) == 0
+        outdir = tmp_path / "rep"
+        assert run("report", trace, "--outdir", outdir, "--order", 5, "--max-order", 4) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        rows = (outdir / "cumulant_table.csv").read_text().splitlines()[1:]
+        assert max(int(row.split(",")[0]) for row in rows) == 5
+        assert manifest["parameters"]["max_order"] == 5
 
     def test_huge_magnitude_trace(self, tmp_path):
         """Power sums of order 6 of 1e60-scale data overflow unless the

@@ -193,6 +193,16 @@ class TestCumulantScalingTable:
         table = cumulant_scaling_table(build_pyramid(x), 2)
         assert all(table.usable[(2, n)] for n in table.scales)
 
+    def test_cumulant_beyond_float_range_unusable(self):
+        """k6 of 1e60-scale data (~1e360) is infinite: unusable, and no
+        overflow warning on the way (RuntimeWarnings are errors here)."""
+        x = 1e60 * np.random.default_rng(10).standard_exponential(2**10)
+        table = cumulant_scaling_table(build_pyramid(x, [1, 2, 4]), 6)
+        for n in table.scales:
+            assert np.isinf(table.values[(6, n)])
+            assert not table.usable[(6, n)]
+            assert table.usable[(2, n)]
+
     def test_rejects_bad_order(self):
         pyramid = build_pyramid(np.random.default_rng(9).normal(size=64), [1])
         with pytest.raises(ValueError):

@@ -106,6 +106,14 @@ class TestLogscaleDiagram:
         for j in a.octaves:
             assert b.energy[j] == pytest.approx(a.energy[j], rel=1e-8, abs=1e-10)
 
+    def test_large_offset_keeps_octaves(self):
+        """The diagram ignores the mean: a 1e7 offset on a unit-variance
+        trace loses no octave to the numerical-zero rule."""
+        x = generate_fgn(FgnSpec(0.8, 2**14, 1.0, 7)).samples
+        base = wavelet_hurst(logscale_diagram(x, WaveletSpec("db4", 11)), 3, 10).hurst
+        shifted = wavelet_hurst(logscale_diagram(x + 1e7, WaveletSpec("db4", 11)), 3, 10).hurst
+        assert shifted == pytest.approx(base, abs=1e-6)
+
     def test_white_noise_flat(self):
         x = np.random.default_rng(3).normal(size=2**16)
         diagram = logscale_diagram(x, WaveletSpec("db4", 13))
