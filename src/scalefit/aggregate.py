@@ -1,9 +1,15 @@
 """Block aggregation of increment traces over non-overlapping windows.
 
 aggregate(x, n)[k] sums block k of n consecutive samples; trailing
-samples that do not fill a block are dropped. Block sums use Neumaier
-compensated accumulation in a fixed left-to-right order, so totals are
-bit-stable and mass is preserved to within a couple of ulps.
+samples that do not fill a block are dropped. Block sums follow one
+rule, a pairwise tree of error-free TwoSum steps that carries every
+step's rounding error up the tree (the pairwise form of Sum2 in Ogita,
+Rump & Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput.
+2005): a block sum is as accurate as if summed in twice the working
+precision and then rounded once, so totals are bit-stable and mass is
+preserved to within a couple of ulps. Level j+1 of the tree pairs adjacent sums
+of level j, so build_pyramid forms scale 2n from scale n's
+(sum, error) pair and equals aggregate(x, 2**k) bit for bit.
 """
 from __future__ import annotations
 
@@ -17,16 +23,34 @@ def _as_samples(trace_or_samples) -> np.ndarray:
     return np.asarray(samples, dtype=float)
 
 
-def _compensated_block_sums(blocks: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated row sums of a (num_blocks, n) array."""
-    total = np.zeros(blocks.shape[0])
-    comp = np.zeros(blocks.shape[0])
-    for j in range(blocks.shape[1]):
-        v = blocks[:, j]
-        t = total + v
-        comp += np.where(np.abs(total) >= np.abs(v), (total - t) + v, (v - t) + total)
-        total = t
-    return total + comp
+def _pair_sums(total: np.ndarray, error: np.ndarray | None):
+    """One level of the pairwise tree over the last axis.
+
+    Adjacent columns (0, 1), (2, 3), ... are added by TwoSum (Knuth),
+    whose rounding error joins the pair's carried errors; an odd last
+    column carries to the next level unchanged. error None means all
+    carried errors are zero (the samples themselves).
+    """
+    even = total.shape[-1] - total.shape[-1] % 2
+    a, b = total[..., 0:even:2], total[..., 1:even:2]
+    s = a + b
+    b_virtual = s - a
+    rounding = (a - (s - b_virtual)) + (b - b_virtual)
+    if error is not None:
+        rounding += error[..., 0:even:2] + error[..., 1:even:2]
+    if even < total.shape[-1]:
+        s = np.concatenate([s, total[..., even:]], axis=-1)
+        carried = np.zeros_like(total[..., even:]) if error is None else error[..., even:]
+        rounding = np.concatenate([rounding, carried], axis=-1)
+    return s, rounding
+
+
+def _block_sums(blocks: np.ndarray) -> np.ndarray:
+    """Row sums of a (num_blocks, n) array, n >= 2, by the pairwise tree."""
+    total, error = _pair_sums(blocks, None)
+    while total.shape[-1] > 1:
+        total, error = _pair_sums(total, error)
+    return (total + error)[:, 0]
 
 
 def check_block_size(n) -> None:
@@ -45,7 +69,7 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     num_blocks = x.size // n
     if n == 1:
         return x[:num_blocks].copy()
-    return _compensated_block_sums(x[: num_blocks * n].reshape(num_blocks, n))
+    return _block_sums(x[: num_blocks * n].reshape(num_blocks, n))
 
 
 # blocks (or wavelet coefficients) kept at the coarsest scale
@@ -74,7 +98,10 @@ def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
     """Aggregate a trace at every requested scale (default: dyadic).
 
     Every scale must leave at least MIN_BLOCKS full blocks. Scale 1, when
-    present, maps to the source samples themselves.
+    present, maps to the source samples themselves. Power-of-two scales
+    come from one pass up the pairwise tree, each level formed from the
+    one below (the same steps aggregate takes); other scales are summed
+    by aggregate.
     """
     x = _as_samples(trace_or_samples)
     if scales is None:
@@ -89,5 +116,15 @@ def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
                 f"scale {n} leaves {x.size // n} blocks of a length-{x.size} trace; "
                 f"at least {MIN_BLOCKS} are required"
             )
-    series = {n: aggregate(x, n) for n in scales}
+    series = {n: aggregate(x, n) for n in scales if n == 1 or n & (n - 1)}
+    dyadic = [n for n in scales if n not in series]
+    # (sum, error) pair of every block of scale n; an odd last block is
+    # dropped before pairing, as aggregate drops the remainder
+    total, error, n = x, None, 1
+    while dyadic and n < dyadic[-1]:
+        even = total.size - total.size % 2
+        total, error = _pair_sums(total[:even], None if error is None else error[:even])
+        n *= 2
+        if n in dyadic:
+            series[n] = total + error
     return AggregatePyramid(scales=tuple(scales), series=series, source_length=x.size)

@@ -26,7 +26,8 @@ from .aggregate import build_pyramid, check_block_size
 DEFAULT_KNEE_THRESHOLD = 0.2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="scalefit",
         description=(
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", parents=[trace, table, order, family, slide],
                          help="full analysis bundle: 6 CSVs plus a manifest")
     rep.add_argument("--outdir", required=True, help="output directory (created if missing)")
-    return parser
+    return parser, sub.choices
 
 
 def _check(args):
@@ -217,10 +218,12 @@ def _cmd_hurst(args) -> int:
     table = _table_for(trace, args.max_order, args.order)
     octaves = np.log2(table.scales)
     window = _fit_window(args, (octaves[0], octaves[-1]))
-    fit = scaling.fit_loglog(table, args.order, window)
+    spectrum = scaling.hurst_spectrum(table, window)
+    if args.order in spectrum.omitted:
+        raise scaling.InsufficientScalesError(spectrum.omitted[args.order])
+    fit = spectrum.fits[args.order]
     print(f"method=cumulant order={args.order} "
           f"octaves=[{fit.window[0]:g},{fit.window[1]:g}] points={fit.points_used}")
-    spectrum = scaling.hurst_spectrum(table, window)
     for m in sorted(spectrum.entries):
         h, r2 = spectrum.entries[m]
         print(f"H({m}) = {h:.4f}  (r2 = {r2:.4f})")
@@ -336,12 +339,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
         _check(args)
     except ValueError as exc:
-        parser.error(str(exc))  # prints usage + message, exits 2
+        # prints the subcommand's usage and "scalefit <cmd>: error: ...", exits 2
+        commands[args.command].error(str(exc))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:

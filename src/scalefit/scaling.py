@@ -81,11 +81,16 @@ class ScalingFit:
 
 @dataclass
 class HurstCurve:
-    """H(m) per cumulant order, with reasons for any omitted order."""
+    """H(m) per cumulant order, with reasons for any omitted order.
+
+    fits keeps each fitted order's ScalingFit, so a caller that needs
+    one order's slope reads it here instead of fitting it again.
+    """
 
     entries: dict
     window: tuple
     omitted: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict)
 
     def hurst(self, m: int) -> float:
         return self.entries[m][0]
@@ -213,6 +218,7 @@ def hurst_spectrum(table, window=None) -> HurstCurve:
     """H(m) = slope/m for every fittable order; others recorded as omitted."""
     entries = {}
     omitted = {}
+    fits = {}
     resolved_window = None
     for m in table.orders:
         try:
@@ -220,13 +226,14 @@ def hurst_spectrum(table, window=None) -> HurstCurve:
         except InsufficientScalesError as exc:
             omitted[m] = str(exc)
             continue
+        fits[m] = fit
         entries[m] = (fit.hurst(), fit.r_squared)
         resolved_window = fit.window
     if not entries:
         raise InsufficientScalesError(
             "no order could be fitted: " + "; ".join(omitted.values())
         )
-    return HurstCurve(entries=entries, window=resolved_window, omitted=omitted)
+    return HurstCurve(entries=entries, window=resolved_window, omitted=omitted, fits=fits)
 
 
 def locality_curve(table, m: int, window_width: int = 4) -> LocalityCurve:

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .rng import check_seed, make_rng, standard_normals
 
@@ -120,13 +119,24 @@ def fgn_autocovariance(hurst: float, variance: float, lag: int) -> float:
     _check_fgn_params(hurst, variance)
     if lag < 0 or int(lag) != lag:
         raise ValueError(f"lag must be a nonnegative integer, got {lag}")
-    return _fgn_gamma(hurst, variance, float(lag))
+    return float(_fgn_gamma(hurst, variance, int(lag), int(lag))[0])
 
 
-def _fgn_gamma(hurst: float, variance: float, k: float) -> float:
-    """fgn_autocovariance's formula, for parameters already checked."""
+def _fgn_gamma(hurst: float, variance: float, first: int, last: int) -> np.ndarray:
+    """fgn_autocovariance's formula at lags first..last, for parameters
+    already checked.
+
+    Each |k|^{2H} is one Python float power (np.power differs from it
+    in the last bit on some lags), taken once per lag and shared by the
+    three lags that use it; the terms combine in the closed form's
+    order, so a lag gets the same double whichever range holds it.
+    """
     two_h = 2.0 * hurst
-    return 0.5 * variance * (abs(k + 1.0) ** two_h - 2.0 * abs(k) ** two_h + abs(k - 1.0) ** two_h)
+    base = max(first - 1, 0)
+    power = np.array([float(k) ** two_h for k in range(base, last + 2)])
+    lag = np.arange(first, last + 1)
+    return 0.5 * variance * ((power[lag + 1 - base] - 2.0 * power[lag - base])
+                             + power[np.abs(lag - 1) - base])
 
 
 def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
@@ -154,7 +164,7 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     zero mean. Output is deterministic given the spec seed.
     """
     n = spec.length
-    gamma = np.array([_fgn_gamma(spec.hurst, spec.variance, float(k)) for k in range(n + 1)])
+    gamma = _fgn_gamma(spec.hurst, spec.variance, 0, n)
     lam = _embedding_eigenvalues(gamma)
     z = standard_normals(make_rng(spec.seed), 2 * n)
     g = np.empty(2 * n, dtype=complex)
@@ -180,6 +190,9 @@ def _cascade_masses(spec: CascadeSpec) -> np.ndarray:
     masses = np.array([spec.total_mass])
     if spec.equal_split:
         return masses[0] * np.full(2**spec.depth, 0.5**spec.depth)
+    # imported here, so that only drawing Beta multipliers loads scipy
+    from scipy.special import betaincinv
+
     rng = make_rng(spec.seed)
     a = spec.multiplier_param
     for _ in range(spec.depth):

@@ -5,9 +5,18 @@ sidecar at <path>.meta.json carrying the generation metadata and the
 declared length. Samples are serialized with 17 significant digits, so
 write -> read is bit-exact for 64-bit floats. Data files never contain
 timestamps; the only timestamp lives in the sidecar's "created" field.
+
+read_trace first parses the rows with np.loadtxt and keeps the result
+only for a well-formed file: ASCII with "\n" line ends, the exact
+header line, one row per line, indices exactly 1..n, every value
+finite. Any other file is read again by the line parser,
+which alone decides what an odd file means (a blank line counts toward
+the row index, so only trailing ones are allowed) and alone raises the
+path:line: errors, so both routes give the same samples or error.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
 import warnings
@@ -38,8 +47,8 @@ def write_trace(trace: Trace, path) -> None:
     """Write samples as CSV rows "i,value" (1-based) plus a JSON sidecar."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("index,value\n")
-        for i, v in enumerate(trace.samples, start=1):
-            fh.write(f"{i},{_fmt(v)}\n")
+        fh.writelines(map("{},{:.17g}\n".format, range(1, trace.samples.size + 1),
+                          trace.samples.tolist()))
     sidecar = {
         "format": FORMAT_VERSION,
         "length": int(trace.samples.size),
@@ -60,32 +69,9 @@ def read_trace(path) -> Trace:
     present but inconsistent sidecar (unknown format version, length
     mismatch) is an error.
     """
-    samples = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "index,value":
-            raise TraceFormatError(f"{path}:1: expected header 'index,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise TraceFormatError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-            try:
-                index = int(fields[0])
-                value = float(fields[1])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-            if index != lineno - 1:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected index {lineno - 1}, got {index}"
-                )
-            if not np.isfinite(value):
-                raise TraceFormatError(f"{path}:{lineno}: non-finite sample {fields[1]!r}")
-            samples.append(value)
-    if not samples:
-        raise TraceFormatError(f"{path}: trace contains no samples")
+    samples = _read_samples(path)
+    if samples is None:
+        samples = _parse_samples(path)
 
     meta = {}
     spath = sidecar_path(path)
@@ -114,7 +100,64 @@ def read_trace(path) -> Trace:
             "seed": sidecar.get("seed"),
             "created": sidecar.get("created"),
         }
-    return Trace(np.array(samples), meta)
+    return Trace(samples, meta)
+
+
+_ROW = np.dtype([("i", np.int64), ("v", np.float64)])
+
+
+def _read_samples(path):
+    """Samples of a well-formed trace file via np.loadtxt, or None when
+    the file is anything else: the line parser then reads it again."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # "\r" is a line break in the line parser's text mode, not here
+    if not (data.startswith(b"index,value\n") and data.isascii()) or b"\r" in data:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's warning for a file without rows
+            rows = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, dtype=_ROW,
+                              skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    # loadtxt skips blank lines, which the line parser counts toward the index
+    lines = data.count(b"\n") + (not data.endswith(b"\n")) - 1
+    if (lines != rows.size or not np.array_equal(rows["i"], np.arange(1, rows.size + 1))
+            or not np.isfinite(rows["v"]).all()):
+        return None
+    return rows["v"].copy()
+
+
+def _parse_samples(path) -> np.ndarray:
+    """The line parser: every row checked in order, errors cite path:line."""
+    samples = []
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != "index,value":
+            raise TraceFormatError(f"{path}:1: expected header 'index,value', got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise TraceFormatError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+            try:
+                index = int(fields[0])
+                value = float(fields[1])
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+            if index != lineno - 1:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: expected index {lineno - 1}, got {index}"
+                )
+            if not np.isfinite(value):
+                raise TraceFormatError(f"{path}:{lineno}: non-finite sample {fields[1]!r}")
+            samples.append(value)
+    if not samples:
+        raise TraceFormatError(f"{path}: trace contains no samples")
+    return np.array(samples)
 
 
 def write_curve(obj, path) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalefit.aggregate import aggregate, build_pyramid, dyadic_scales
+from scalefit.synth import FgnSpec, generate_fgn
 
 finite_values = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -98,6 +99,46 @@ class TestBuildPyramid:
     def test_scales_sorted_and_deduplicated(self):
         pyramid = build_pyramid(np.zeros(64), [4, 1, 4, 2])
         assert pyramid.scales == (1, 2, 4)
+
+
+def _summation_inputs():
+    """fGn, the same fGn behind a 1e7 offset, and heavy-tailed Cauchy
+    noise, at 2^14 samples."""
+    x = generate_fgn(FgnSpec(0.8, 2**14, 1.0, 9)).samples
+    return {"fgn": x, "fgn_offset_1e7": x + 1e7,
+            "cauchy": np.random.default_rng(9).standard_cauchy(2**14)}
+
+
+SUMMATION_INPUTS = _summation_inputs()
+
+
+def _fsum_blocks(x, n):
+    return np.array([math.fsum(block) for block in x[: x.size // n * n].reshape(-1, n)])
+
+
+class TestPairwiseSummation:
+    @pytest.mark.parametrize("name", sorted(SUMMATION_INPUTS))
+    def test_pyramid_is_aggregate_and_fsum(self, name):
+        x = SUMMATION_INPUTS[name]
+        pyramid = build_pyramid(x)
+        assert pyramid.scales[-1] == 2**11
+        for n in pyramid.scales:
+            assert pyramid.series[n].tobytes() == aggregate(x, n).tobytes()
+            assert pyramid.series[n].tobytes() == _fsum_blocks(x, n).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SUMMATION_INPUTS))
+    @pytest.mark.parametrize("n", [3, 6, 7])
+    def test_odd_width_blocks(self, name, n):
+        # odd columns carry up the tree; mass is preserved and, on these
+        # inputs, every block is the correctly rounded sum
+        x = SUMMATION_INPUTS[name]
+        out = aggregate(x, n)
+        used = x[: x.size // n * n]
+        assert math.fsum(out) == pytest.approx(math.fsum(used), rel=1e-12, abs=1e-9)
+        assert out.tobytes() == _fsum_blocks(x, n).tobytes()
+        mixed = build_pyramid(x, [1, 2, n, 8])
+        assert mixed.series[n].tobytes() == out.tobytes()
+        assert mixed.series[8].tobytes() == aggregate(x, 8).tobytes()
 
 
 class TestDyadicScales:

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalefit
+from scalefit import scaling
 from scalefit.cli import main
 from scalefit.synth import FgnSpec, Trace, generate_fgn
 from scalefit.trace_io import read_trace, write_trace
@@ -122,7 +127,64 @@ def test_invalid_flag_exit_2(fgn_trace, tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hurst", "{trace}", "--order", 0],
+    ["locality", "{trace}", "--window", 2],
+    ["aggregate", "{trace}", "--scale", 0, "--out", "{out}"],
+    ["report", "no_such_trace.csv", "--outdir", "{out}"],
+    ["generate", "--model", "fgn", "--length", 1000, "--out", "{out}"],
+], ids=lambda argv: " ".join(str(a) for a in argv if "{" not in str(a)))
+def test_owner_rule_error_names_subcommand(fgn_trace, tmp_path, capsys, argv):
+    """Rules checked after parsing report like argparse's own errors: the
+    subcommand's usage line and a "scalefit <cmd>: error:" prefix."""
+    out = tmp_path / "out"
+    code, captured = run_expecting_exit(
+        capsys, *[str(a).format(trace=fgn_trace, out=out) for a in argv])
+    assert code == 2
+    assert captured.err.startswith(f"usage: scalefit {argv[0]} ")
+    assert f"scalefit {argv[0]}: error: " in captured.err
+
+
+def test_import_loads_no_scipy_until_cascade(tmp_path):
+    """Importing the package and the CLI, and an fGn generate -> report,
+    load no scipy module; the cascade models import it when they run."""
+    script = """
+import sys
+import scalefit, scalefit.cli
+from scalefit.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert scipy_loaded() == [], scipy_loaded()
+assert main(["generate", "--model", "fgn", "--length", "4096", "--out", "f.csv"]) == 0
+assert main(["report", "f.csv", "--outdir", "rep"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+assert main(["generate", "--model", "cascade", "--depth", "10", "--out", "c.csv"]) == 0
+assert main(["generate", "--model", "multifractal", "--length", "1024", "--depth", "10",
+             "--out", "m.csv"]) == 0
+assert "scipy.special" in scipy_loaded()
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(scalefit.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 class TestHurst:
+    def test_each_order_fitted_once(self, fgn_trace, capsys, monkeypatch):
+        fitted = []
+        fit_loglog = scaling.fit_loglog
+
+        def counting_fit(table, m, window=None):
+            fitted.append(m)
+            return fit_loglog(table, m, window)
+
+        monkeypatch.setattr(scaling, "fit_loglog", counting_fit)
+        assert run("hurst", fgn_trace, "--order", 2, "--max-order", 4) == 0
+        assert sorted(fitted) == [1, 2, 3, 4]
+        assert "Hurst estimate" in capsys.readouterr().out
+
     def test_cumulant_estimate_near_target(self, fgn_trace, capsys):
         assert run("hurst", fgn_trace, "--method", "cumulant", "--order", 2) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from scalefit.synth import (
     SynthesisError,
     Trace,
     _embedding_eigenvalues,
+    _fgn_gamma,
     fgn_autocovariance,
     generate_cascade,
     generate_fgn,
@@ -60,6 +61,19 @@ class TestFgnAutocovariance:
     def test_rejects_negative_lag(self):
         with pytest.raises(ValueError):
             fgn_autocovariance(0.7, 1.0, -1)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95])
+    def test_generate_fgn_gamma_bitexact(self, hurst):
+        """generate_fgn's vector of lags 0..2^12 is, lag by lag, the double
+        fgn_autocovariance returns and the scalar closed form gives."""
+        n, variance, two_h = 2**12, 1.7, 2.0 * hurst
+        gamma = _fgn_gamma(hurst, variance, 0, n)
+        single = np.array([fgn_autocovariance(hurst, variance, k) for k in range(n + 1)])
+        scalar = np.array([
+            0.5 * variance * (abs(k + 1.0) ** two_h - 2.0 * abs(k) ** two_h + abs(k - 1.0) ** two_h)
+            for k in map(float, range(n + 1))
+        ])
+        assert gamma.tobytes() == single.tobytes() == scalar.tobytes()
 
 
 class TestFgnSpec:

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from scalefit.scaling import HurstCurve, LocalityCurve
 from scalefit.synth import FgnSpec, Trace, generate_fgn
 from scalefit.trace_io import (
     TraceFormatError,
+    _parse_samples,
+    _read_samples,
     read_trace,
     sidecar_path,
     write_curve,
@@ -71,6 +74,67 @@ class TestRoundTrip:
         trace = make_trace(values)
         write_trace(trace, path)
         assert np.array_equal(read_trace(path).samples, trace.samples)
+
+
+# (file bytes, whether the loadtxt fast path may keep its own result)
+FAST_PATH_CASES = {
+    "well_formed": (b"index,value\n1,1.5\n2,-2.5e-300\n3,0\n", True),
+    "no_final_newline": (b"index,value\n1,1.5\n2,2.5", True),
+    "blank_line": (b"index,value\n1,1.5\n\n2,2.5\n", False),
+    "trailing_blank_lines": (b"index,value\n1,1.5\n2,2.5\n\n\n", False),
+    "whitespace_only_line": (b"index,value\n1,1.5\n  \t\n2,2.5\n", False),
+    "trailing_whitespace_line": (b"index,value\n1,1.5\n   \n", False),
+    "hash_line": (b"index,value\n# comment\n1,1.5\n", False),
+    "hash_after_value": (b"index,value\n1,1.5 # comment\n", False),
+    "float_index": (b"index,value\n1.0,1.5\n", False),
+    "index_out_of_order": (b"index,value\n2,1.5\n1,2.5\n", False),
+    "index_from_zero": (b"index,value\n0,1.5\n1,2.5\n", False),
+    "trailing_comma": (b"index,value\n1,1.5,\n", False),
+    "empty_value": (b"index,value\n1,\n", False),
+    "nan": (b"index,value\n1,1.5\n2,nan\n", False),
+    "inf": (b"index,value\n1,-inf\n", False),
+    "overflow_1e500": (b"index,value\n1,1.5\n2,1e500\n", False),
+    "non_ascii_byte": (b"index,value\n1,1.5\n2,2.5\xc3\xa9\n", False),
+    "header_only": (b"index,value\n", False),
+    "header_with_spaces": (b"index,value  \n1,1.5\n", False),
+    "crlf_line_ends": (b"index,value\r\n1,1.5\r\n2,2.5\r\n", False),
+    "lone_cr_blank_line": (b"index,value\n1,1.5\r\n\r2,2.5\n", False),
+    "signed_padded_fields": (b"index,value\n+1, 1.5 \n 2 ,-2.5\n", True),
+}
+
+
+def _outcome(read, path):
+    """Samples as raw bytes, or the exception type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no sidecar
+            samples = read(path)
+    except (TraceFormatError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return getattr(samples, "samples", samples).tobytes()
+
+
+class TestReadFastPath:
+    """read_trace's np.loadtxt route must change nothing the line parser
+    decides: same samples, or the same error, for every file."""
+
+    @pytest.mark.parametrize("name", sorted(FAST_PATH_CASES))
+    def test_same_outcome_as_line_parser(self, tmp_path, name):
+        content, fast = FAST_PATH_CASES[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        assert _outcome(read_trace, path) == _outcome(_parse_samples, path)
+        assert (_read_samples(path) is not None) == fast
+
+    def test_generated_2p17_roundtrip_bitexact(self, tmp_path):
+        trace = generate_fgn(FgnSpec(0.8, 2**17, 1.0, 5))
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        # the bytes are those of the row-by-row f-string writer
+        rows = "".join(f"{i},{v:.17g}\n" for i, v in enumerate(trace.samples, start=1))
+        assert path.read_text() == "index,value\n" + rows
+        assert _read_samples(path) is not None
+        assert read_trace(path).samples.tobytes() == trace.samples.tobytes()
 
 
 class TestReadErrors:
