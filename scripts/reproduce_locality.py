@@ -19,6 +19,7 @@ import numpy as np
 from scalefit import (
     CascadeSpec,
     FgnSpec,
+    LocalityCurve,
     WaveletSpec,
     build_pyramid,
     cumulant_scaling_table,
@@ -30,10 +31,10 @@ from scalefit import (
     logscale_diagram,
     wavelet_hurst,
     wavelet_locality_curve,
+    write_curve,
 )
 
 LENGTH = 2**16
-WINDOW = 4
 FAMILIES = {
     "fgn_h06": lambda seed: generate_fgn(FgnSpec(0.6, LENGTH, 1.0, seed)),
     "fgn_h08": lambda seed: generate_fgn(FgnSpec(0.8, LENGTH, 1.0, seed)),
@@ -44,16 +45,10 @@ FAMILIES = {
 
 
 def mean_curve(curves):
-    centers = curves[0].centers()
-    stacked = np.array([c.estimates() for c in curves])
-    return centers, stacked.mean(axis=0)
-
-
-def write_mean_curve(path, centers, values):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("octave,hurst\n")
-        for center, value in zip(centers, values):
-            fh.write(f"{center:.17g},{value:.17g}\n")
+    """Seed average of locality curves over the same windows."""
+    first = curves[0]
+    values = np.array([c.estimates() for c in curves]).mean(axis=0)
+    return LocalityCurve(tuple(zip(first.centers(), values)), first.order, first.window_width)
 
 
 def main() -> int:
@@ -73,24 +68,19 @@ def main() -> int:
             table = cumulant_scaling_table(build_pyramid(trace), 2)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cum_curves.append(locality_curve(table, 2, WINDOW))
+                cum_curves.append(locality_curve(table, 2))
                 cum_h.append(fit_loglog(table, 2, (0, 10)).hurst())
                 diagram = logscale_diagram(trace, WaveletSpec("haar", 13))
-                wav_curves.append(wavelet_locality_curve(diagram, WINDOW))
+                wav_curves.append(wavelet_locality_curve(diagram))
                 wav_h.append(wavelet_hurst(diagram, 3, 12).hurst)
         for kind, curves in (("cumulant", cum_curves), ("wavelet", wav_curves)):
-            centers, values = mean_curve(curves)
-            write_mean_curve(
-                os.path.join(args.outdir, f"{name}_locality_{kind}.csv"), centers, values
-            )
-            knee = detect_knee((centers, values))
-            fraction = (
-                knee.sse_reduction / knee.single_line_sse if knee.single_line_sse else 0.0
-            )
+            curve = mean_curve(curves)
+            write_curve(curve, os.path.join(args.outdir, f"{name}_locality_{kind}.csv"))
+            knee = detect_knee(curve)
             print(
                 f"{name} [{kind}]: H_mean={np.mean(cum_h if kind == 'cumulant' else wav_h):.4f} "
                 f"knee@{knee.octave:g} slopes {knee.left_slope:+.4f}->{knee.right_slope:+.4f} "
-                f"({100 * fraction:.0f}% SSE reduction)"
+                f"({100 * knee.fraction:.0f}% SSE reduction)"
             )
     print(f"curves written to {args.outdir}/")
     return 0

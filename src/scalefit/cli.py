@@ -12,7 +12,6 @@ generate -> report pipelines byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,7 +22,12 @@ from . import cumulants, scaling, synth, trace_io, wavelet
 from .aggregate import aggregate as aggregate_series
 from .aggregate import build_pyramid, check_block_size
 
-DEFAULT_KNEE_THRESHOLD = 0.2
+# The flag that sets each owner parameter; an owner's error message opens
+# with "<parameter> must", and the CLI names the flag there instead.
+_FLAG_OF = {"hurst": "--hurst", "length": "--length", "variance": "--variance",
+            "seed": "--seed", "depth": "--depth", "multiplier_param": "--multiplier",
+            "total_mass": "--mass", "levels": "--levels", "window_width": "--window",
+            "block size": "--scale"}
 
 
 def _build_parser():
@@ -52,11 +56,12 @@ def _build_parser():
                         help="wavelet family [db4]")
     family.add_argument("--levels", type=int, default=None,
                         help="wavelet pyramid depth [deepest the trace length allows]")
-    slide.add_argument("--window", type=int, default=4,
-                       help="locality window width in octaves [4]")
-    slide.add_argument("--knee-threshold", type=float, default=DEFAULT_KNEE_THRESHOLD,
-                       help="knee is significant when sse_reduction >= threshold * "
-                            f"single-line SSE [{DEFAULT_KNEE_THRESHOLD}]")
+    slide.add_argument("--window", type=int, default=scaling.DEFAULT_WINDOW_WIDTH,
+                       help="locality window width in octaves "
+                            f"[{scaling.DEFAULT_WINDOW_WIDTH}]")
+    slide.add_argument("--knee-threshold", type=float, default=scaling.DEFAULT_KNEE_THRESHOLD,
+                       help="share of the single-line SSE a knee must remove to be "
+                            f"significant [{scaling.DEFAULT_KNEE_THRESHOLD}]")
 
     gen = sub.add_parser("generate", help="synthesize a trace and write it as CSV")
     gen.add_argument("--model", required=True, choices=("fgn", "cascade", "multifractal"))
@@ -104,19 +109,33 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _owned(build, *values, **flags):
+    """build(*values), an owner's spec or check, whose error names the flag
+    (_FLAG_OF, overridden by flags) that set the failing parameter."""
+    try:
+        return build(*values)
+    except ValueError as exc:
+        param, sep, rest = str(exc).partition(" must ")
+        flag = {**_FLAG_OF, **flags}.get(param)
+        if not sep or flag is None:
+            raise
+        raise ValueError(f"{flag} must {rest}") from None
+
+
 def _check(args):
     """Raise ValueError for the first invalid flag; generate's specs are
     kept on args. The CLI owns only the input-file, fit-window and
     knee-threshold rules; every other rule is checked by its owner."""
     if args.command == "generate":
         if args.model != "cascade":
-            args.fgn_spec = synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
+            args.fgn_spec = _owned(synth.FgnSpec, args.hurst, args.length, args.variance,
+                                   args.seed)
         if args.model != "fgn":
-            seed = args.seed
+            seed, flag = args.seed, "--seed"
             if args.model == "multifractal" and args.cascade_seed is not None:
-                seed = args.cascade_seed
-            args.cascade_spec = synth.CascadeSpec(args.depth, args.multiplier, args.mass,
-                                                  seed, equal_split=args.equal_split)
+                seed, flag = args.cascade_seed, "--cascade-seed"
+            args.cascade_spec = _owned(synth.CascadeSpec, args.depth, args.multiplier,
+                                       args.mass, seed, args.equal_split, seed=flag)
         if args.model == "multifractal":
             synth.check_composite(args.fgn_spec, args.cascade_spec)
         return
@@ -127,11 +146,11 @@ def _check(args):
         if name in flags:
             cumulants.check_order(flags[name], f"--{name.replace('_', '-')}")
     if "scale" in flags:
-        check_block_size(args.scale)
+        _owned(check_block_size, args.scale)
     if flags.get("levels") is not None:
-        wavelet.WaveletSpec(args.family, args.levels)
+        _owned(wavelet.WaveletSpec, args.family, args.levels)
     if "window" in flags:
-        scaling.check_window_width(args.window)
+        _owned(scaling.check_window_width, args.window)
     for name in ("j_lo", "j_hi", "knee_threshold"):
         if flags.get(name) is not None and not math.isfinite(flags[name]):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {flags[name]}")
@@ -165,12 +184,9 @@ def _cmd_generate(args) -> int:
 def _cmd_aggregate(args) -> int:
     trace = trace_io.read_trace(args.input)
     series = aggregate_series(trace, args.scale)
-    out = synth.Trace(series, {
-        "model": "aggregate",
-        "params": {"scale": args.scale, "source_model": trace.meta.get("model")},
-        "seed": trace.meta.get("seed"),
-        "created": trace.meta.get("created"),
-    })
+    params = {"scale": args.scale, "source_model": trace.meta.get("model")}
+    out = synth.Trace(series, synth.trace_meta("aggregate", params, trace.meta.get("seed"),
+                                               trace.meta.get("created")))
     trace_io.write_trace(out, args.out)
     print(f"wrote {args.out} [aggregate scale={args.scale}] {_summary_line(out)}")
     return 0
@@ -235,23 +251,6 @@ def _cmd_hurst(args) -> int:
     return 0
 
 
-def _knee_report(curve, threshold):
-    knee = scaling.detect_knee(curve)
-    if knee.single_line_sse > 0:
-        fraction = knee.sse_reduction / knee.single_line_sse
-    else:
-        fraction = 0.0
-    significant = fraction >= threshold
-    lines = [
-        f"knee octave {knee.octave:g}: slopes {knee.left_slope:+.4f} -> "
-        f"{knee.right_slope:+.4f}, sse_reduction {knee.sse_reduction:.3e} "
-        f"({100 * fraction:.1f}% of single-line SSE)"
-    ]
-    if not significant:
-        lines.append(f"no significant knee (reduction below {100 * threshold:.0f}% threshold)")
-    return knee, significant, fraction, lines
-
-
 def _cmd_locality(args) -> int:
     trace = trace_io.read_trace(args.input)
     if args.method == "cumulant":
@@ -262,69 +261,34 @@ def _cmd_locality(args) -> int:
         curve = wavelet.wavelet_locality_curve(diagram, args.window)
     print(f"locality curve: {len(curve.points)} windows of {args.window} octaves "
           f"(method={args.method})")
-    _, _, _, lines = _knee_report(curve, args.knee_threshold)
-    for line in lines:
-        print(line)
+    knee = scaling.detect_knee(curve)
+    print(f"knee octave {knee.octave:g}: slopes {knee.left_slope:+.4f} -> "
+          f"{knee.right_slope:+.4f}, sse_reduction {knee.sse_reduction:.3e} "
+          f"({100 * knee.fraction:.1f}% of single-line SSE)")
+    if not knee.significant(args.knee_threshold):
+        print(f"no significant knee (reduction below {100 * args.knee_threshold:.0f}% "
+              "threshold)")
     if args.out:
         trace_io.write_curve(curve, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
-REPORT_FILES = (
-    "cumulant_table.csv",
-    "hurst_spectrum.csv",
-    "locality_cumulant.csv",
-    "locality_wavelet.csv",
-    "logscale_diagram.csv",
-    "knees.csv",
-)
-
-
 def _cmd_report(args) -> int:
     trace = trace_io.read_trace(args.input)
-    os.makedirs(args.outdir, exist_ok=True)
     table = _table_for(trace, args.max_order, args.order)
     spectrum = scaling.hurst_spectrum(table)
+    # the cumulant slide runs before the DWT: the first np.unique of a process
+    # imports numpy.ma, which takes twice as long once the DWT has run
     curve_c = scaling.locality_curve(table, args.order, args.window)
     diagram, levels = _diagram_for(trace, args.family, args.levels)
-    curve_w = wavelet.wavelet_locality_curve(diagram, args.window)
-
-    paths = {name: os.path.join(args.outdir, name) for name in REPORT_FILES}
-    trace_io.write_curve(table, paths["cumulant_table.csv"])
-    trace_io.write_curve(spectrum, paths["hurst_spectrum.csv"])
-    trace_io.write_curve(curve_c, paths["locality_cumulant.csv"])
-    trace_io.write_curve(curve_w, paths["locality_wavelet.csv"])
-    trace_io.write_curve(diagram, paths["logscale_diagram.csv"])
-
-    knee_lines = ["method,octave,left_slope,right_slope,sse_reduction,significant"]
-    for method, curve in (("cumulant", curve_c), ("wavelet", curve_w)):
-        knee, significant, fraction, _ = _knee_report(curve, args.knee_threshold)
-        knee_lines.append(
-            f"{method},{knee.octave:.17g},{knee.left_slope:.17g},{knee.right_slope:.17g},"
-            f"{knee.sse_reduction:.17g},{'true' if significant else 'false'}"
-        )
-    with open(paths["knees.csv"], "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(knee_lines) + "\n")
-
-    manifest = {
-        "format": "scalefit-report/1",
-        "input": os.path.basename(args.input),
-        "parameters": {
-            "max_order": table.orders[-1],
-            "order": args.order,
-            "window": args.window,
-            "family": args.family,
-            "levels": levels,
-            "knee_threshold": args.knee_threshold,
-        },
-        "files": list(REPORT_FILES),
-    }
-    manifest_path = os.path.join(args.outdir, "manifest.json")
-    with open(manifest_path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(REPORT_FILES)} CSVs + manifest to {args.outdir}")
+    curves = {"cumulant": curve_c, "wavelet": wavelet.wavelet_locality_curve(diagram, args.window)}
+    knees = {method: scaling.detect_knee(curve) for method, curve in curves.items()}
+    settings = {"order": args.order, "window": args.window, "family": args.family,
+                "levels": levels, "knee_threshold": args.knee_threshold}
+    trace_io.write_report(args.outdir, args.input, table, spectrum, diagram, curves, knees,
+                          settings)
+    print(f"wrote {len(trace_io.REPORT_FILES)} CSVs + manifest to {args.outdir}")
     return 0
 
 

@@ -27,6 +27,10 @@ class InsufficientScalesError(ValueError):
 
 # points a line fit needs, so also a locality window and a knee segment
 MIN_FIT_POINTS = 3
+# octaves per locality window
+DEFAULT_WINDOW_WIDTH = 4
+# share of the single-line SSE a knee must remove to be significant
+DEFAULT_KNEE_THRESHOLD = 0.2
 
 
 def check_window_width(window_width: int) -> None:
@@ -128,6 +132,15 @@ class KneePoint:
     single_line_sse: float
     split_sse: float
 
+    @property
+    def fraction(self) -> float:
+        """sse_reduction as a share of the single-line SSE; 0 when that SSE is 0."""
+        return self.sse_reduction / self.single_line_sse if self.single_line_sse > 0 else 0.0
+
+    def significant(self, threshold: float) -> bool:
+        """The knee removes at least threshold of the single-line SSE."""
+        return self.fraction >= threshold
+
 
 class DiagramFit(NamedTuple):
     """Line fit of a ScalingDiagram over an inclusive octave window."""
@@ -210,7 +223,10 @@ def fit_loglog(table, m: int, window=None) -> ScalingFit:
     """
     fit = table.scaling_diagram(m).fit(window)
     result = ScalingFit(m, fit.slope, fit.intercept, fit.r_squared, fit.window, fit.points_used)
-    _warn_if_outside_unit(result.hurst(), f"fit_loglog(order={m})")
+    # the order-1 k-statistic of n-blocks is n times the mean, so H(1) = 1
+    # by construction and says nothing about the trace
+    if m > 1:
+        _warn_if_outside_unit(result.hurst(), f"fit_loglog(order={m})")
     return result
 
 
@@ -236,7 +252,7 @@ def hurst_spectrum(table, window=None) -> HurstCurve:
     return HurstCurve(entries=entries, window=resolved_window, omitted=omitted, fits=fits)
 
 
-def locality_curve(table, m: int, window_width: int = 4) -> LocalityCurve:
+def locality_curve(table, m: int, window_width: int = DEFAULT_WINDOW_WIDTH) -> LocalityCurve:
     """Order-m Hurst estimates from a window slid across the table's
     octaves (see ScalingDiagram.locality)."""
     points = table.scaling_diagram(m).locality(window_width)

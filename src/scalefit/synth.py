@@ -92,9 +92,20 @@ class CascadeSpec:
         check_seed(self.seed)
 
 
+# the generation metadata every trace carries, and its sidecar with it
+META_FIELDS = ("model", "params", "seed", "created")
+
+
+def trace_meta(model, params, seed, created) -> dict:
+    """A trace's generation metadata, keyed by META_FIELDS; params of None
+    (a source that recorded none) becomes {}."""
+    return dict(zip(META_FIELDS, (model, {} if params is None else params, seed, created)))
+
+
 @dataclass
 class Trace:
-    """A finite real-valued increment series with generation metadata."""
+    """A finite real-valued increment series with generation metadata
+    (trace_meta)."""
 
     samples: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -173,17 +184,8 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     g[1:n] = (z[2:n + 1] + 1j * z[n + 1:2 * n]) / np.sqrt(2.0)
     g[n + 1:] = np.conj(g[1:n][::-1])
     samples = np.fft.ifft(np.sqrt(lam) * g).real[:n] * np.sqrt(2.0 * n)
-    meta = {
-        "model": "fgn",
-        "params": {
-            "hurst": spec.hurst,
-            "length": spec.length,
-            "variance": spec.variance,
-        },
-        "seed": spec.seed,
-        "created": _timestamp(),
-    }
-    return Trace(samples, meta)
+    params = {"hurst": spec.hurst, "length": spec.length, "variance": spec.variance}
+    return Trace(samples, trace_meta("fgn", params, spec.seed, _timestamp()))
 
 
 def _cascade_masses(spec: CascadeSpec) -> np.ndarray:
@@ -216,18 +218,13 @@ def generate_cascade(spec: CascadeSpec) -> Trace:
     total_mass up to floating-point rounding and all cells are >= 0.
     """
     samples = _cascade_masses(spec)
-    meta = {
-        "model": "cascade",
-        "params": {
-            "depth": spec.depth,
-            "multiplier_param": spec.multiplier_param,
-            "total_mass": spec.total_mass,
-            "equal_split": spec.equal_split,
-        },
-        "seed": spec.seed,
-        "created": _timestamp(),
+    params = {
+        "depth": spec.depth,
+        "multiplier_param": spec.multiplier_param,
+        "total_mass": spec.total_mass,
+        "equal_split": spec.equal_split,
     }
-    return Trace(samples, meta)
+    return Trace(samples, trace_meta("cascade", params, spec.seed, _timestamp()))
 
 
 def check_composite(fgn: FgnSpec, cascade: CascadeSpec) -> None:
@@ -250,23 +247,18 @@ def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     masses = _cascade_masses(cascade)
     mu = masses / math.fsum(masses)
     samples = base.samples * np.sqrt(fgn.length * mu)
-    meta = {
-        "model": "multifractal",
-        "params": {
-            "hurst": fgn.hurst,
-            "length": fgn.length,
-            "variance": fgn.variance,
-            "fgn_seed": fgn.seed,
-            "depth": cascade.depth,
-            "multiplier_param": cascade.multiplier_param,
-            "total_mass": cascade.total_mass,
-            "equal_split": cascade.equal_split,
-            "cascade_seed": cascade.seed,
-        },
-        "seed": fgn.seed,
-        "created": _timestamp(),
+    params = {
+        "hurst": fgn.hurst,
+        "length": fgn.length,
+        "variance": fgn.variance,
+        "fgn_seed": fgn.seed,
+        "depth": cascade.depth,
+        "multiplier_param": cascade.multiplier_param,
+        "total_mass": cascade.total_mass,
+        "equal_split": cascade.equal_split,
+        "cascade_seed": cascade.seed,
     }
-    return Trace(samples, meta)
+    return Trace(samples, trace_meta("multifractal", params, fgn.seed, _timestamp()))
 
 
 def partial_sums(trace: Trace) -> Trace:
@@ -275,11 +267,6 @@ def partial_sums(trace: Trace) -> Trace:
     Differencing the output recovers the input except for the first
     element, which equals itself.
     """
-    samples = np.cumsum(trace.samples)
-    meta = {
-        "model": "partial_sums",
-        "params": {"source_model": trace.meta.get("model")},
-        "seed": trace.meta.get("seed"),
-        "created": _timestamp(),
-    }
-    return Trace(samples, meta)
+    params = {"source_model": trace.meta.get("model")}
+    meta = trace_meta("partial_sums", params, trace.meta.get("seed"), _timestamp())
+    return Trace(np.cumsum(trace.samples), meta)

@@ -1,10 +1,16 @@
-"""Trace and result persistence in diff-friendly CSV.
+"""Trace and result persistence in diff-friendly CSV and JSON.
+
+This module writes every file scalefit emits: traces, analysis results,
+and the report bundle (REPORT_FILES plus manifest.json). All text goes
+through one writer (ASCII, "\n" line ends) and all JSON through one
+JSON writer (indent 2, sorted keys, trailing newline).
 
 A trace is stored as a two-column CSV ("index,value") with a JSON
-sidecar at <path>.meta.json carrying the generation metadata and the
-declared length. Samples are serialized with 17 significant digits, so
-write -> read is bit-exact for 64-bit floats. Data files never contain
-timestamps; the only timestamp lives in the sidecar's "created" field.
+sidecar at <path>.meta.json carrying the generation metadata
+(synth.META_FIELDS) and the declared length. Samples are serialized
+with 17 significant digits, so write -> read is bit-exact for 64-bit
+floats. Data files never contain timestamps; the only timestamp lives
+in the sidecar's "created" field.
 
 read_trace first parses the rows with np.loadtxt and keeps the result
 only for a well-formed file: ASCII with "\n" line ends, the exact
@@ -25,10 +31,19 @@ import numpy as np
 
 from .cumulants import CumulantTable
 from .scaling import HurstCurve, LocalityCurve
-from .synth import Trace
+from .synth import META_FIELDS, Trace, trace_meta
 from .wavelet import LogscaleDiagram
 
 FORMAT_VERSION = "scalefit-trace/1"
+REPORT_FORMAT = "scalefit-report/1"
+REPORT_FILES = (
+    "cumulant_table.csv",
+    "hurst_spectrum.csv",
+    "locality_cumulant.csv",
+    "locality_wavelet.csv",
+    "logscale_diagram.csv",
+    "knees.csv",
+)
 
 
 class TraceFormatError(ValueError):
@@ -43,23 +58,23 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_text(path, lines) -> None:
+    """Write lines (any iterable of str) as ASCII, each ended by "\n"."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, obj) -> None:
+    _write_text(path, [json.dumps(obj, indent=2, sort_keys=True)])
+
+
 def write_trace(trace: Trace, path) -> None:
     """Write samples as CSV rows "i,value" (1-based) plus a JSON sidecar."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("index,value\n")
-        fh.writelines(map("{},{:.17g}\n".format, range(1, trace.samples.size + 1),
-                          trace.samples.tolist()))
-    sidecar = {
-        "format": FORMAT_VERSION,
-        "length": int(trace.samples.size),
-        "model": trace.meta.get("model"),
-        "params": trace.meta.get("params", {}),
-        "seed": trace.meta.get("seed"),
-        "created": trace.meta.get("created"),
-    }
-    with open(sidecar_path(path), "w", encoding="ascii", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    n = trace.samples.size
+    _write_text(path, ["index,value", *map("{},{:.17g}".format, range(1, n + 1),
+                                           trace.samples.tolist())])
+    _write_json(sidecar_path(path), {"format": FORMAT_VERSION, "length": int(n),
+                                     **trace_meta(*map(trace.meta.get, META_FIELDS))})
 
 
 def read_trace(path) -> Trace:
@@ -94,12 +109,7 @@ def read_trace(path) -> Trace:
                 f"{spath}: declared length {declared} does not match "
                 f"{len(samples)} samples in {path}"
             )
-        meta = {
-            "model": sidecar.get("model"),
-            "params": sidecar.get("params", {}),
-            "seed": sidecar.get("seed"),
-            "created": sidecar.get("created"),
-        }
+        meta = trace_meta(*map(sidecar.get, META_FIELDS))
     return Trace(samples, meta)
 
 
@@ -194,5 +204,34 @@ def write_curve(obj, path) -> None:
             lines.append(f"{m},{_fmt(hurst)},{_fmt(r2)}")
     else:
         raise TypeError(f"no CSV serialization for {type(obj).__name__}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, lines)
+
+
+def write_report(outdir, source, table, spectrum, diagram, curves, knees, settings) -> None:
+    """Write the report bundle into outdir, created if missing:
+    REPORT_FILES and manifest.json.
+
+    curves and knees map each method, "cumulant" then "wavelet", to its
+    LocalityCurve and its KneePoint; knees.csv flags a knee significant
+    by KneePoint.significant(settings["knee_threshold"]). The manifest
+    records source's file name, settings and the depth of the table
+    actually built.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    # every file of REPORT_FILES before knees.csv, in order
+    results = (table, spectrum, curves["cumulant"], curves["wavelet"], diagram)
+    for name, result in zip(REPORT_FILES, results):
+        write_curve(result, os.path.join(outdir, name))
+    threshold = settings["knee_threshold"]
+    _write_text(os.path.join(outdir, "knees.csv"), [
+        "method,octave,left_slope,right_slope,sse_reduction,significant",
+        *(f"{method},{_fmt(k.octave)},{_fmt(k.left_slope)},{_fmt(k.right_slope)},"
+          f"{_fmt(k.sse_reduction)},{'true' if k.significant(threshold) else 'false'}"
+          for method, k in knees.items()),
+    ])
+    _write_json(os.path.join(outdir, "manifest.json"), {
+        "format": REPORT_FORMAT,
+        "input": os.path.basename(source),
+        "parameters": {"max_order": table.orders[-1], **settings},
+        "files": list(REPORT_FILES),
+    })

@@ -19,7 +19,7 @@ import numpy as np
 
 from .aggregate import _as_samples, dyadic_scales
 from .cumulants import is_numerical_zero
-from .scaling import LocalityCurve, ScalingDiagram, _warn_if_outside_unit
+from .scaling import DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -191,7 +191,8 @@ def wavelet_hurst(diagram: LogscaleDiagram, j1, j2) -> WaveletHurstFit:
     return WaveletHurstFit(hurst=hurst, alpha=fit.slope, r_squared=fit.r_squared)
 
 
-def wavelet_locality_curve(diagram: LogscaleDiagram, window_width: int = 4) -> LocalityCurve:
+def wavelet_locality_curve(diagram: LogscaleDiagram,
+                           window_width: int = DEFAULT_WINDOW_WIDTH) -> LocalityCurve:
     """The logscale diagram slid across octave windows; same curve type
     as the cumulant-based locality analysis, so knee detection applies
     unchanged."""

@@ -93,22 +93,36 @@ INVALID_FLAGS = [
     (["report", "{trace}", "--outdir", "{out}", "--order", 7], "got 7"),
     (["cumulants", "{trace}", "--max-order", 0, "--out", "{out}"], "got 0"),
     (["hurst", "{trace}", "--max-order", 7], "got 7"),
-    (["locality", "{trace}", "--window", 2], "got 2"),
+    (["locality", "{trace}", "--window", 2], "--window must be at least 3 octaves, got 2"),
     (["locality", "{trace}", "--knee-threshold", -1], "got -1"),
     (["report", "{trace}", "--outdir", "{out}", "--knee-threshold", "nan"], "got nan"),
     (["hurst", "{trace}", "--j-lo", 5, "--j-hi", 4], "[5.0, 4.0]"),
     (["hurst", "{trace}", "--method", "wavelet", "--j-lo", "nan"], "got nan"),
-    (["hurst", "{trace}", "--method", "wavelet", "--levels", 0], "got 0"),
-    (["aggregate", "{trace}", "--scale", 0, "--out", "{out}"], "got 0"),
-    (["generate", "--model", "fgn", "--hurst", 1.2, "--out", "{out}"], "got 1.2"),
-    (["generate", "--model", "fgn", "--length", 1000, "--out", "{out}"], "got 1000"),
-    (["generate", "--model", "cascade", "--depth", 1, "--out", "{out}"], "got 1"),
+    (["hurst", "{trace}", "--method", "wavelet", "--levels", 0],
+     "--levels must be a positive integer, got 0"),
+    (["aggregate", "{trace}", "--scale", 0, "--out", "{out}"],
+     "--scale must be a positive integer, got 0"),
+    (["generate", "--model", "fgn", "--hurst", 1.2, "--out", "{out}"],
+     "--hurst must be in the open interval (0, 1), got 1.2"),
+    (["generate", "--model", "fgn", "--length", 1000, "--out", "{out}"],
+     "--length must be a power of two >= 16, got 1000"),
+    (["generate", "--model", "cascade", "--depth", 1, "--out", "{out}"],
+     "--depth must be an integer >= 2, got 1"),
     (["generate", "--model", "multifractal", "--length", 1024, "--depth", 9,
       "--out", "{out}"], "1024"),
-    (["generate", "--model", "fgn", "--variance", "inf", "--out", "{out}"], "got inf"),
-    (["generate", "--model", "cascade", "--multiplier", "inf", "--out", "{out}"], "got inf"),
+    (["generate", "--model", "fgn", "--variance", "inf", "--out", "{out}"],
+     "--variance must be finite and positive, got inf"),
+    (["generate", "--model", "cascade", "--multiplier", "inf", "--out", "{out}"],
+     "--multiplier must be finite and positive, got inf"),
     (["generate", "--model", "multifractal", "--length", 1024, "--depth", 10,
-      "--mass", "inf", "--out", "{out}"], "got inf"),
+      "--mass", "inf", "--out", "{out}"], "--mass must be finite and positive, got inf"),
+    (["generate", "--model", "cascade", "--mass", -1, "--out", "{out}"],
+     "--mass must be finite and positive, got -1.0"),
+    (["generate", "--model", "cascade", "--seed", -1, "--out", "{out}"],
+     "--seed must be an unsigned 64-bit integer, got -1"),
+    (["generate", "--model", "multifractal", "--length", 1024, "--depth", 10,
+      "--cascade-seed", -1, "--out", "{out}"],
+     "--cascade-seed must be an unsigned 64-bit integer, got -1"),
 ]
 
 
@@ -117,7 +131,8 @@ INVALID_FLAGS = [
                               for argv, _ in INVALID_FLAGS])
 def test_invalid_flag_exit_2(fgn_trace, tmp_path, capsys, argv, named):
     """Every invalid flag is rejected before any computation, with exit 2
-    and one error line that names the bad value."""
+    and one error line that names the bad value and, where an owner's rule
+    rejects it, the flag rather than the owner's parameter."""
     out = tmp_path / "out"
     code, captured = run_expecting_exit(
         capsys, *[str(a).format(trace=fgn_trace, out=out) for a in argv])
@@ -330,6 +345,22 @@ class TestReport:
         fgn = generate_fgn(FgnSpec(0.8, 4096, 1.0, 3))
         write_trace(Trace(1e60 * fgn.samples), trace)
         assert run("report", trace, "--outdir", tmp_path / "rep", "--max-order", 6) == 0
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.995])
+    def test_knees_significant_is_knee_rule(self, fgn_trace, tmp_path, threshold):
+        """knees.csv flags each method's knee by KneePoint.significant."""
+        outdir = tmp_path / "rep"
+        assert run("report", fgn_trace, "--outdir", outdir, "--knee-threshold", threshold) == 0
+        trace = read_trace(fgn_trace)
+        table = scalefit.cumulant_scaling_table(scalefit.build_pyramid(trace), 2)
+        spec = scalefit.WaveletSpec("db4", scalefit.max_levels(len(trace)))
+        diagram = scalefit.logscale_diagram(trace, spec)
+        curves = {"cumulant": scalefit.locality_curve(table, 2),
+                  "wavelet": scalefit.wavelet_locality_curve(diagram)}
+        rows = [row.split(",") for row in (outdir / "knees.csv").read_text().splitlines()[1:]]
+        assert {row[0]: row[-1] for row in rows} == {
+            method: "true" if scalefit.detect_knee(curve).significant(threshold) else "false"
+            for method, curve in curves.items()}
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code, captured = run_expecting_exit(

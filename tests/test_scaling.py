@@ -127,12 +127,17 @@ class TestDetectKnee:
         assert knee.left_slope == pytest.approx(1.0, abs=1e-9)
         assert knee.right_slope == pytest.approx(3.0, abs=1e-9)
         assert knee.sse_reduction == pytest.approx(knee.single_line_sse, rel=1e-9)
+        assert knee.fraction == pytest.approx(1.0, rel=1e-9)
+        assert knee.significant(0.995)
 
     def test_collinear_input(self):
         x = np.arange(10.0)
         knee = detect_knee((x, 2 * x + 1))
         assert knee.sse_reduction == pytest.approx(0.0, abs=1e-18)
         assert knee.left_slope == pytest.approx(knee.right_slope, abs=1e-9)
+        # no single-line SSE to reduce: no knee at any positive threshold
+        assert knee.fraction == 0.0
+        assert not any(knee.significant(t) for t in (1e-12, 0.2, 1.0))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

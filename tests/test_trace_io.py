@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ class TestWriteTrace:
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(make_trace([1.0, 2.0]), path)
-        sidecar = json.loads(open(sidecar_path(path)).read())
+        sidecar = json.loads(Path(sidecar_path(path)).read_text())
         assert sidecar["format"] == "scalefit-trace/1"
         assert sidecar["length"] == 2
         assert sidecar["model"] == "fgn"
@@ -53,7 +54,7 @@ class TestWriteTrace:
         write_trace(trace, a)
         write_trace(trace, b)
         assert a.read_bytes() == b.read_bytes()
-        assert open(sidecar_path(a), "rb").read() == open(sidecar_path(b), "rb").read()
+        assert Path(sidecar_path(a)).read_bytes() == Path(sidecar_path(b)).read_bytes()
 
 
 class TestRoundTrip:
@@ -161,7 +162,7 @@ class TestReadErrors:
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(make_trace([1.0, 2.0]), path)
-        meta = json.loads(open(sidecar_path(path)).read())
+        meta = json.loads(Path(sidecar_path(path)).read_text())
         meta["length"] = 5
         with open(sidecar_path(path), "w") as fh:
             json.dump(meta, fh)
@@ -171,7 +172,7 @@ class TestReadErrors:
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(make_trace([1.0, 2.0]), path)
-        meta = json.loads(open(sidecar_path(path)).read())
+        meta = json.loads(Path(sidecar_path(path)).read_text())
         meta["format"] = "scalefit-trace/99"
         with open(sidecar_path(path), "w") as fh:
             json.dump(meta, fh)
