@@ -1,15 +1,16 @@
 """Block aggregation of increment traces over non-overlapping windows.
 
 aggregate(x, n)[k] sums block k of n consecutive samples; trailing
-samples that do not fill a block are dropped. Block sums follow one
-rule, a pairwise tree of error-free TwoSum steps that carries every
-step's rounding error up the tree (the pairwise form of Sum2 in Ogita,
-Rump & Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput.
-2005): a block sum is as accurate as if summed in twice the working
-precision and then rounded once, so totals are bit-stable and mass is
-preserved to within a couple of ulps. Level j+1 of the tree pairs adjacent sums
-of level j, so build_pyramid forms scale 2n from scale n's
-(sum, error) pair and equals aggregate(x, 2**k) bit for bit.
+samples that do not fill a block are dropped. One summation rule,
+row_sums, serves both the block sums here and the k-statistic power
+sums in cumulants: a pairwise tree of error-free TwoSum steps that
+carries every step's rounding error up the tree (the pairwise form of
+Sum2 in Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
+Sci. Comput. 2005). A sum is as accurate as if summed in twice the
+working precision and then rounded once, so totals are bit-stable and
+mass is preserved to within a couple of ulps. Level j+1 of the tree
+pairs adjacent sums of level j, so build_pyramid forms scale 2n from
+scale n's (sum, error) pair and equals aggregate(x, 2**k) bit for bit.
 """
 from __future__ import annotations
 
@@ -45,9 +46,10 @@ def _pair_sums(total: np.ndarray, error: np.ndarray | None):
     return s, rounding
 
 
-def _block_sums(blocks: np.ndarray) -> np.ndarray:
-    """Row sums of a (num_blocks, n) array, n >= 2, by the pairwise tree."""
-    total, error = _pair_sums(blocks, None)
+def row_sums(rows: np.ndarray) -> np.ndarray:
+    """Row sums of a (num_rows, width) array, width >= 1, by the pairwise
+    tree: aggregate's block sums and cumulants' k-statistic power sums."""
+    total, error = _pair_sums(rows, None)
     while total.shape[-1] > 1:
         total, error = _pair_sums(total, error)
     return (total + error)[:, 0]
@@ -69,7 +71,7 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     num_blocks = x.size // n
     if n == 1:
         return x[:num_blocks].copy()
-    return _block_sums(x[: num_blocks * n].reshape(num_blocks, n))
+    return row_sums(x[: num_blocks * n].reshape(num_blocks, n))
 
 
 # blocks (or wavelet coefficients) kept at the coarsest scale

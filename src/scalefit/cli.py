@@ -278,16 +278,20 @@ def _cmd_report(args) -> int:
     trace = trace_io.read_trace(args.input)
     table = _table_for(trace, args.max_order, args.order)
     spectrum = scaling.hurst_spectrum(table)
-    # the cumulant slide runs before the DWT: the first np.unique of a process
-    # imports numpy.ma, which takes twice as long once the DWT has run
-    curve_c = scaling.locality_curve(table, args.order, args.window)
     diagram, levels = _diagram_for(trace, args.family, args.levels)
-    curves = {"cumulant": curve_c, "wavelet": wavelet.wavelet_locality_curve(diagram, args.window)}
-    knees = {method: scaling.detect_knee(curve) for method, curve in curves.items()}
+    curves = {"cumulant": scaling.locality_curve(table, args.order, args.window),
+              "wavelet": wavelet.wavelet_locality_curve(diagram, args.window)}
+    # a curve too short for a knee loses its knees.csv row, not the bundle
+    knees, omitted_knees = {}, {}
+    for method, curve in curves.items():
+        try:
+            knees[method] = scaling.detect_knee(curve)
+        except ValueError as exc:
+            omitted_knees[method] = str(exc)
     settings = {"order": args.order, "window": args.window, "family": args.family,
                 "levels": levels, "knee_threshold": args.knee_threshold}
     trace_io.write_report(args.outdir, args.input, table, spectrum, diagram, curves, knees,
-                          settings)
+                          settings, omitted_knees)
     print(f"wrote {len(trace_io.REPORT_FILES)} CSVs + manifest to {args.outdir}")
     return 0
 

@@ -7,8 +7,11 @@ because coarse aggregation scales leave very few blocks. Orders are
 capped at 6 because the estimator variance grows factorially with the
 order.
 
-Central power sums are computed with exact (fsum) accumulation after
-pre-centering by the sample mean, which controls cancellation and
+The mean and the central power sums are summed by aggregate.row_sums,
+the package's one compensated rule (a pairwise TwoSum tree, as accurate
+as summing in twice the working precision and rounding once), every
+order of a sample in one call. Pre-centering by the sample mean
+controls cancellation. Round-to-nearest is odd-symmetric, so the tree
 makes negation parity exact: negating the input negates k1, k3, k5
 bitwise and leaves k2, k4, k6 bitwise unchanged. The centred sample is
 scaled by a power of two to unit magnitude first, so the power sums
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregate import row_sums
 from .scaling import ScalingDiagram
 
 MAX_ORDER = 6
@@ -65,7 +69,7 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
     # k_m is defined for n >= m (all unbiasing denominators nonzero)
     if n < max_order or n == 0:
         raise ValueError(f"series of length {n} is too short for order {max_order}")
-    mean = math.fsum(x) / n
+    mean = float(row_sums(x[None, :])[0]) / n
     out = np.empty(max_order)
     out[0] = mean
     if max_order == 1:
@@ -73,13 +77,13 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
     d = x - mean
     _, exponent = np.frexp(np.abs(d).max())
     d = np.ldexp(d, -exponent)
-    # explicit multiplication chain: exactly rounded per step and
-    # odd-symmetric under negation, unlike libm pow
-    s = {}
-    power = d
-    for r in range(2, max_order + 1):
-        power = power * d
-        s[r] = math.fsum(power)
+    # rows d**2 .. d**max_order by an explicit multiplication chain: exactly
+    # rounded per step and odd-symmetric under negation, unlike libm pow
+    powers = np.empty((max_order - 1, n))
+    powers[0] = d * d
+    for row in range(1, max_order - 1):
+        np.multiply(powers[row - 1], d, out=powers[row])
+    s = dict(enumerate(row_sums(powers).tolist(), start=2))
     nn = float(n)
     out[1] = s[2] / (nn - 1)
     if max_order >= 3:
@@ -125,7 +129,7 @@ def empirical_cgf(series, t: float) -> float:
             f"|t| * max|x| = {abs(t) * np.abs(x).max():.3g} exceeds the overflow "
             f"guard {CGF_EXPONENT_LIMIT}"
         )
-    return math.log(math.fsum(np.exp(t * x)) / x.size)
+    return math.log(float(row_sums(np.exp(t * x).reshape(1, -1))[0]) / x.size)
 
 
 @dataclass

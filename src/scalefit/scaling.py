@@ -156,7 +156,7 @@ class DiagramFit(NamedTuple):
 class ScalingDiagram:
     """log2 of a scale statistic against octave, ready for line fits.
 
-    weights is None for ordinary least squares. Points whose usable flag
+    octaves ascend strictly (both builders list them so). weights is None for ordinary least squares. Points whose usable flag
     is False (a statistic that is numerically or statistically zero)
     never enter a fit. H = (slope + shift) / divisor. label names the
     statistic in error messages.
@@ -196,11 +196,10 @@ class ScalingDiagram:
         points to fit are skipped; fewer than 2 fitted windows is an
         error."""
         check_window_width(window_width)
-        octaves = np.unique(self.octaves)
         points = []
-        for j0 in octaves:
+        for j0 in self.octaves:
             j1 = j0 + window_width - 1
-            if j1 > octaves[-1] + 1e-12:
+            if j1 > self.octaves[-1] + 1e-12:
                 break
             try:
                 fit = self.fit((j0, j1))
@@ -210,7 +209,7 @@ class ScalingDiagram:
         if len(points) < 2:
             raise InsufficientScalesError(
                 f"{self.label}: fewer than 2 sliding windows of width {window_width} "
-                f"could be fitted over octaves {octaves[0]:g}..{octaves[-1]:g}"
+                f"could be fitted over octaves {self.octaves[0]:g}..{self.octaves[-1]:g}"
             )
         return tuple(points)
 

@@ -207,15 +207,18 @@ def write_curve(obj, path) -> None:
     _write_text(path, lines)
 
 
-def write_report(outdir, source, table, spectrum, diagram, curves, knees, settings) -> None:
+def write_report(outdir, source, table, spectrum, diagram, curves, knees, settings,
+                 omitted_knees) -> None:
     """Write the report bundle into outdir, created if missing:
     REPORT_FILES and manifest.json.
 
     curves and knees map each method, "cumulant" then "wavelet", to its
     LocalityCurve and its KneePoint; knees.csv flags a knee significant
-    by KneePoint.significant(settings["knee_threshold"]). The manifest
-    records source's file name, settings and the depth of the table
-    actually built.
+    by KneePoint.significant(settings["knee_threshold"]). A method
+    without a knee has no knees.csv row; omitted_knees maps it to the
+    reason. The manifest records source's file name, settings, the
+    depth of the table actually built and, when there are any, the
+    omitted knees.
     """
     os.makedirs(outdir, exist_ok=True)
     # every file of REPORT_FILES before knees.csv, in order
@@ -229,9 +232,12 @@ def write_report(outdir, source, table, spectrum, diagram, curves, knees, settin
           f"{_fmt(k.sse_reduction)},{'true' if k.significant(threshold) else 'false'}"
           for method, k in knees.items()),
     ])
-    _write_json(os.path.join(outdir, "manifest.json"), {
+    manifest = {
         "format": REPORT_FORMAT,
         "input": os.path.basename(source),
         "parameters": {"max_order": table.orders[-1], **settings},
         "files": list(REPORT_FILES),
-    })
+    }
+    if omitted_knees:
+        manifest["omitted_knees"] = omitted_knees
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)

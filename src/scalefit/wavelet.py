@@ -155,12 +155,14 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
             f"{deepest} octaves, got {spec.levels}"
         )
     centred = samples - samples.mean()
-    variance = float(centred @ centred) / centred.size
+    # energies are numpy's fixed-order pairwise sums: a BLAS dot product
+    # splits its sum by thread count, so the last digits would follow it
+    variance = float(np.sum(centred * centred)) / centred.size
     result = dwt(centred, spec)
     energy = {}
     counts = {}
     for j, d in enumerate(result.details, start=1):
-        mu = float(d @ d) / d.size
+        mu = float(np.sum(d * d)) / d.size
         energy[j] = 0.0 if is_numerical_zero(mu, variance) else mu
         counts[j] = d.size
     return LogscaleDiagram(octaves=tuple(range(1, spec.levels + 1)), energy=energy, counts=counts)

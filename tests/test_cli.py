@@ -175,6 +175,7 @@ assert scipy_loaded() == [], scipy_loaded()
 assert main(["generate", "--model", "fgn", "--length", "4096", "--out", "f.csv"]) == 0
 assert main(["report", "f.csv", "--outdir", "rep"]) == 0
 assert scipy_loaded() == [], scipy_loaded()
+assert "numpy.ma" not in sys.modules
 assert main(["generate", "--model", "cascade", "--depth", "10", "--out", "c.csv"]) == 0
 assert main(["generate", "--model", "multifractal", "--length", "1024", "--depth", "10",
              "--out", "m.csv"]) == 0
@@ -308,6 +309,40 @@ class TestReport:
         ]
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert len(manifest["files"]) == 6
+        assert "omitted_knees" not in manifest
+
+    def test_bundle_independent_of_blas_threads(self, fgn_trace, tmp_path):
+        """Every report file has the same bytes under 1 and 2 BLAS threads
+        (a BLAS dot product splits its sum by thread count)."""
+        bundles = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / f"rep{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(scalefit.__file__).parents[1]))
+            result = subprocess.run(
+                [sys.executable, "-m", "scalefit.cli", "report", str(fgn_trace),
+                 "--outdir", str(outdir)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            bundles.append({name: (outdir / name).read_bytes() for name in os.listdir(outdir)})
+        assert bundles[0] == bundles[1]
+
+    def test_short_locality_curve_omits_its_knee(self, tmp_path):
+        """A locality curve too short for detect_knee loses its knees.csv
+        row, with the reason in the manifest; the rest of the bundle is
+        written."""
+        trace = tmp_path / "cascade.csv"
+        assert run("generate", "--model", "cascade", "--depth", 12, "--seed", 5,
+                   "--out", trace) == 0
+        outdir = tmp_path / "rep"
+        assert run("report", trace, "--outdir", outdir, "--max-order", 6, "--order", 3) == 0
+        assert len(os.listdir(outdir)) == 7
+        rows = (outdir / "knees.csv").read_text().splitlines()
+        assert rows[0] == "method,octave,left_slope,right_slope,sse_reduction,significant"
+        assert [row.split(",")[0] for row in rows[1:]] == ["wavelet"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["omitted_knees"] == {
+            "cumulant": "knee detection needs at least 6 points, got 5"}
 
     def test_rerun_byte_identical(self, fgn_trace, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

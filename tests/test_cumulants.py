@@ -12,6 +12,7 @@ from scalefit.cumulants import (
     empirical_cgf,
     sample_cumulants,
 )
+from scalefit.synth import CascadeSpec, FgnSpec, generate_fgn, generate_multifractal
 
 
 def exact_cumulants_from_moments(values, probs, max_order):
@@ -122,6 +123,82 @@ class TestSampleCumulants:
         for m in range(1, 7):
             expected = -base[m - 1] if m % 2 else base[m - 1]
             assert negated[m - 1] == expected  # bitwise
+
+
+def fsum_cumulants(x, max_order):
+    """Reference k-statistics: the power sums one correctly rounded
+    math.fsum each, the rest as sample_cumulants computes it."""
+    n = x.size
+    mean = math.fsum(x) / n
+    out = np.empty(max_order)
+    out[0] = mean
+    if max_order == 1:
+        return out
+    d = x - mean
+    _, exponent = np.frexp(np.abs(d).max())
+    d = np.ldexp(d, -exponent)
+    s = {}
+    power = d
+    for r in range(2, max_order + 1):
+        power = power * d
+        s[r] = math.fsum(power)
+    nn = float(n)
+    out[1] = s[2] / (nn - 1)
+    if max_order >= 3:
+        out[2] = nn * s[3] / ((nn - 1) * (nn - 2))
+    if max_order >= 4:
+        out[3] = (nn * (nn + 1) * s[4] - 3 * (nn - 1) * s[2] ** 2) / (
+            (nn - 1) * (nn - 2) * (nn - 3)
+        )
+    if max_order >= 5:
+        out[4] = (nn**2 * (nn + 5) * s[5] - 10 * nn * (nn - 1) * s[2] * s[3]) / (
+            (nn - 1) * (nn - 2) * (nn - 3) * (nn - 4)
+        )
+    if max_order >= 6:
+        num = (
+            nn * (nn + 1) * (nn * nn + 15 * nn - 4) * s[6]
+            - 15 * (nn - 1) ** 2 * (nn + 4) * s[2] * s[4]
+            - 10 * (nn - 1) * (nn * nn - nn + 4) * s[3] ** 2
+            + 30 * (nn - 1) * (nn - 2) * s[2] ** 3
+        )
+        out[5] = num / ((nn - 1) * (nn - 2) * (nn - 3) * (nn - 4) * (nn - 5))
+    with np.errstate(over="ignore"):
+        out[1:] = np.ldexp(out[1:], exponent * np.arange(2, max_order + 1))
+    return out
+
+
+def _summation_inputs():
+    """fGn, the same fGn behind a 1e7 offset, heavy-tailed Cauchy noise
+    and the cascade-modulated composite, at 2^14 samples."""
+    fgn = FgnSpec(0.8, 2**14, 1.0, 9)
+    x = generate_fgn(fgn).samples
+    return {"fgn": x, "fgn_offset_1e7": x + 1e7,
+            "cauchy": np.random.default_rng(9).standard_cauchy(2**14),
+            "composite": generate_multifractal(fgn, CascadeSpec(14, 2.0, 1.0, 9)).samples}
+
+
+SUMMATION_INPUTS = _summation_inputs()
+
+
+class TestPairwisePowerSums:
+    """The k-statistics sum on aggregate's pairwise TwoSum tree; on these
+    inputs every power sum is the correctly rounded one, so every order
+    equals the fsum reference bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SUMMATION_INPUTS))
+    def test_every_pyramid_level_matches_fsum(self, name):
+        pyramid = build_pyramid(SUMMATION_INPUTS[name])
+        for n in pyramid.scales:
+            series = pyramid.series[n]
+            assert sample_cumulants(series, 6).tobytes() == \
+                fsum_cumulants(series, 6).tobytes(), n
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 1000, 4097])
+    def test_odd_lengths_match_fsum(self, length):
+        # odd widths carry their last column up the tree
+        x = np.random.default_rng(length).normal(size=length)
+        order = min(length, 6)
+        assert sample_cumulants(x, order).tobytes() == fsum_cumulants(x, order).tobytes()
 
 
 class TestEmpiricalCgf:
