@@ -11,6 +11,8 @@ working precision and then rounded once, so totals are bit-stable and
 mass is preserved to within a couple of ulps. Level j+1 of the tree
 pairs adjacent sums of level j, so build_pyramid forms scale 2n from
 scale n's (sum, error) pair and equals aggregate(x, 2**k) bit for bit.
+check_sums_fit is the overflow rule of the two places that sum raw
+samples, build_pyramid and wavelet.logscale_diagram.
 """
 from __future__ import annotations
 
@@ -53,6 +55,23 @@ def row_sums(rows: np.ndarray) -> np.ndarray:
     while total.shape[-1] > 1:
         total, error = _pair_sums(total, error)
     return (total + error)[:, 0]
+
+
+# float64's largest value over 16: headroom for the steps that follow a
+# sum (TwoSum's differences, the wavelet diagram's centring and filters)
+SUM_LIMIT = 2.0**1020
+
+
+def check_sums_fit(samples: np.ndarray) -> None:
+    """The overflow rule of the raw-sample sums: sum |x| must be below
+    SUM_LIMIT. It bounds every block sum, mean and partial sum that
+    build_pyramid, the k-statistics and the wavelet diagram take, so a
+    trace that passes makes none of them overflow float64."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(samples)))
+    if not total < SUM_LIMIT:
+        raise ValueError(f"the trace's sums overflow float64: sum |x| = {total:.3g} "
+                         f"is not below {SUM_LIMIT:.3g}")
 
 
 def check_block_size(n) -> None:
@@ -99,13 +118,15 @@ def dyadic_scales(length: int) -> list:
 def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
     """Aggregate a trace at every requested scale (default: dyadic).
 
-    Every scale must leave at least MIN_BLOCKS full blocks. Scale 1, when
+    Every scale must leave at least MIN_BLOCKS full blocks, and the
+    samples' sums must fit float64 (check_sums_fit). Scale 1, when
     present, maps to the source samples themselves. Power-of-two scales
     come from one pass up the pairwise tree, each level formed from the
     one below (the same steps aggregate takes); other scales are summed
     by aggregate.
     """
     x = _as_samples(trace_or_samples)
+    check_sums_fit(x)
     if scales is None:
         scales = dyadic_scales(x.size)
     scales = sorted({int(s) for s in scales})

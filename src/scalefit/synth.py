@@ -14,6 +14,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -25,6 +27,9 @@ FIXED_CLOCK_VALUE = "1970-01-01T00:00:00Z"
 # Relative threshold below which negative circulant eigenvalues abort
 # synthesis; values between -tol*max and 0 are clamped to zero.
 EMBEDDING_TOLERANCE = 1e-8
+
+# (hurst, variance, length) parameter sets whose fGn root spectrum is kept
+_ROOT_SPECTRUM_CACHE_SIZE = 4
 
 
 class SynthesisError(RuntimeError):
@@ -128,7 +133,7 @@ def fgn_autocovariance(hurst: float, variance: float, lag: int) -> float:
     gamma(0) = variance, and gamma(k) = 0 for all k >= 1 when H = 1/2.
     """
     _check_fgn_params(hurst, variance)
-    if lag < 0 or int(lag) != lag:
+    if isinstance(lag, bool) or not (math.isfinite(lag) and lag >= 0 and int(lag) == lag):
         raise ValueError(f"lag must be a nonnegative integer, got {lag}")
     return float(_fgn_gamma(hurst, variance, int(lag), int(lag))[0])
 
@@ -137,14 +142,17 @@ def _fgn_gamma(hurst: float, variance: float, first: int, last: int) -> np.ndarr
     """fgn_autocovariance's formula at lags first..last, for parameters
     already checked.
 
-    Each |k|^{2H} is one Python float power (np.power differs from it
-    in the last bit on some lags), taken once per lag and shared by the
-    three lags that use it; the terms combine in the closed form's
-    order, so a lag gets the same double whichever range holds it.
+    Each |k|^{2H} is one Python float power, libm's pow (np.power
+    differs from it in the last bit on some lags), taken once per lag
+    and shared by the three lags that use it; the terms combine in the
+    closed form's order, so a lag gets the same double whichever range
+    holds it. generate_fgn needs lags 0..N once per (H, variance, N),
+    through _root_spectrum.
     """
     two_h = 2.0 * hurst
     base = max(first - 1, 0)
-    power = np.array([float(k) ** two_h for k in range(base, last + 2)])
+    lags = np.arange(base, last + 2, dtype=float).tolist()
+    power = np.fromiter(map(pow, lags, repeat(two_h)), float, len(lags))
     lag = np.arange(first, last + 1)
     return 0.5 * variance * ((power[lag + 1 - base] - 2.0 * power[lag - base])
                              + power[np.abs(lag - 1) - base])
@@ -168,22 +176,39 @@ def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return np.where(lam < 0.0, 0.0, lam)
 
 
+@lru_cache(maxsize=_ROOT_SPECTRUM_CACHE_SIZE)
+def _root_spectrum(hurst: float, variance: float, length: int) -> np.ndarray:
+    """Square root of the circulant embedding spectrum of fGn with
+    length samples, read-only: the seed-independent half of generate_fgn.
+
+    Kept for the _ROOT_SPECTRUM_CACHE_SIZE most recent parameter sets, so
+    a run over many seeds builds it once; each entry holds 2*length
+    doubles, at most 4 x 16*length bytes in all (16 MB at 2^20). A
+    SynthesisError is not cached: it is raised again on every call.
+    """
+    root = np.sqrt(_embedding_eigenvalues(_fgn_gamma(hurst, variance, 0, length)))
+    root.flags.writeable = False
+    return root
+
+
 def generate_fgn(spec: FgnSpec) -> Trace:
     """Synthesize fGn by circulant embedding of the exact autocovariance.
 
     The sampled series has theoretical covariance fgn_autocovariance and
-    zero mean. Output is deterministic given the spec seed.
+    zero mean. Output is deterministic given the spec seed. The root
+    spectrum depends only on (H, variance, N) and is built once per
+    parameter set (_root_spectrum); only the normals and the inverse FFT
+    are drawn per call.
     """
     n = spec.length
-    gamma = _fgn_gamma(spec.hurst, spec.variance, 0, n)
-    lam = _embedding_eigenvalues(gamma)
+    root = _root_spectrum(spec.hurst, spec.variance, n)
     z = standard_normals(make_rng(spec.seed), 2 * n)
     g = np.empty(2 * n, dtype=complex)
     g[0] = z[0]
     g[n] = z[1]
     g[1:n] = (z[2:n + 1] + 1j * z[n + 1:2 * n]) / np.sqrt(2.0)
     g[n + 1:] = np.conj(g[1:n][::-1])
-    samples = np.fft.ifft(np.sqrt(lam) * g).real[:n] * np.sqrt(2.0 * n)
+    samples = np.fft.ifft(root * g).real[:n] * np.sqrt(2.0 * n)
     params = {"hurst": spec.hurst, "length": spec.length, "variance": spec.variance}
     return Trace(samples, trace_meta("fgn", params, spec.seed, _timestamp()))
 

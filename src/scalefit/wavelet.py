@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregate import _as_samples, dyadic_scales
+from .aggregate import _as_samples, check_sums_fit, dyadic_scales
 from .cumulants import is_numerical_zero
 from .scaling import DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit
 
@@ -140,7 +140,8 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     """Mean squared detail coefficient per octave j = 1..levels.
 
     Unlike the bare transform, the diagram needs aggregate.MIN_BLOCKS
-    detail coefficients at its coarsest octave. The samples are centred
+    detail coefficients at its coarsest octave, and the samples' sums
+    must fit float64 (aggregate.check_sums_fit). The samples are centred
     first: the wavelets' vanishing moment makes the diagram blind to the
     mean, but the filter taps sum to zero only to round-off, so an offset
     would leak into every octave. Energies that are numerically zero
@@ -154,6 +155,7 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
             f"series of length {samples.size} supports a diagram of at most "
             f"{deepest} octaves, got {spec.levels}"
         )
+    check_sums_fit(samples)
     centred = samples - samples.mean()
     # energies are numpy's fixed-order pairwise sums: a BLAS dot product
     # splits its sum by thread count, so the last digits would follow it

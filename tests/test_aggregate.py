@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scalefit.aggregate import aggregate, build_pyramid, dyadic_scales
+from scalefit.aggregate import SUM_LIMIT, aggregate, build_pyramid, check_sums_fit, dyadic_scales
 from scalefit.synth import FgnSpec, generate_fgn
 
 finite_values = st.floats(-1e6, 1e6, allow_nan=False)
@@ -99,6 +99,21 @@ class TestBuildPyramid:
     def test_scales_sorted_and_deduplicated(self):
         pyramid = build_pyramid(np.zeros(64), [4, 1, 4, 2])
         assert pyramid.scales == (1, 2, 4)
+
+    def test_rejects_overflowing_sums(self):
+        """Finite samples whose sums pass float64's range are refused by
+        name, before any sum (RuntimeWarnings are errors here)."""
+        x = 1e305 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples + 1e306
+        with pytest.raises(ValueError, match="sums overflow float64"):
+            build_pyramid(x)
+
+    def test_sums_below_limit_pass_and_at_limit_fail(self):
+        x = np.full(64, SUM_LIMIT / 128)
+        x[1::2] *= -1.0
+        pyramid = build_pyramid(x)
+        assert np.array_equal(pyramid.series[2], np.zeros(32))
+        with pytest.raises(ValueError, match="sums overflow float64"):
+            check_sums_fit(2.0 * x)
 
 
 def _summation_inputs():

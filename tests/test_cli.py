@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,15 @@ def fgn_trace(tmp_path_factory):
     os.environ["SCALEFIT_FIXED_CLOCK"] = "1"
     assert main(["generate", "--model", "fgn", "--hurst", "0.6", "--length", "65536",
                  "--seed", "7", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def overflow_trace(tmp_path_factory):
+    """Finite samples whose sum (about 4e309) passes float64's range."""
+    path = tmp_path_factory.mktemp("traces") / "overflow.csv"
+    fgn = generate_fgn(FgnSpec(0.8, 4096, 1.0, 3))
+    write_trace(Trace(fgn.samples * 1e305 + 1e306), path)
     return path
 
 
@@ -402,6 +412,30 @@ class TestReport:
             capsys, "report", tmp_path / "absent.csv", "--outdir", tmp_path / "rep")
         assert code == 2
         assert "absent.csv" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--outdir", "{tmp}/rep"),
+    ("hurst",),
+    ("hurst", "--method", "wavelet"),
+    ("locality",),
+    ("locality", "--method", "wavelet"),
+    ("cumulants", "--out", "{tmp}/table.csv"),
+])
+def test_overflowing_sums_one_error_line(overflow_trace, tmp_path, capsys, argv):
+    """A finite trace whose sums overflow float64 exits 1 with one error
+    line naming the overflow, and warns nothing on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv[0], overflow_trace, *(a.format(tmp=tmp_path) for a in argv[1:]))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"scalefit {argv[0]}: error: the trace's sums overflow float64: "
+        f"sum |x| = inf is not below 1.12e+307"]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEndToEndDeterminism:

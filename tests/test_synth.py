@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalefit import synth
 from scalefit.synth import (
     CascadeSpec,
     FgnSpec,
@@ -11,6 +13,7 @@ from scalefit.synth import (
     Trace,
     _embedding_eigenvalues,
     _fgn_gamma,
+    _root_spectrum,
     fgn_autocovariance,
     generate_cascade,
     generate_fgn,
@@ -59,8 +62,10 @@ class TestFgnAutocovariance:
             fgn_autocovariance(0.7, 0.0, 1)
 
     def test_rejects_negative_lag(self):
-        with pytest.raises(ValueError):
-            fgn_autocovariance(0.7, 1.0, -1)
+        # and every other lag that is not a nonnegative integer, bool included
+        for lag in (-1, 1.5, math.inf, -math.inf, math.nan, True, False):
+            with pytest.raises(ValueError, match="lag must be a nonnegative integer"):
+                fgn_autocovariance(0.7, 1.0, lag)
 
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95])
     def test_generate_fgn_gamma_bitexact(self, hurst):
@@ -128,6 +133,68 @@ class TestGenerateFgn:
     def test_sample_variance_near_one(self):
         x = generate_fgn(FgnSpec(0.7, 2**14, 1.0, 3)).samples
         assert x.var() == pytest.approx(1.0, abs=0.1)
+
+
+# sha256 of generate_fgn(...).samples.tobytes(), taken before the root
+# spectrum was cached; any change to the fGn stream changes them
+FGN_DIGESTS = {
+    (0.6, 2**12, 1): "2cf7cd0e33623aeb479e00e10a93009526bdce50c8b22ed5dce2479e326f5f93",
+    (0.8, 2**12, 1): "51d589ccc866b71c7274356b3a9a8b3587296206f248a9d2ca9bcb493f7d3f8f",
+    (0.8, 2**16, 7): "c650ff9c90eef8772eb739fd1d2aa6e8850f6af52b93990c96a7412c046ff396",
+}
+COMPOSITE_DIGEST = "951c9a01e0bf8bd16f9941be290e420dfefc8b72d5fbe5844bbeb63f0ebf22c6"
+
+
+def _digest(trace):
+    return hashlib.sha256(trace.samples.tobytes()).hexdigest()
+
+
+class TestRootSpectrumCache:
+    def test_fgn_stream_unchanged(self):
+        # interleaved, so a cache keyed on too few fields serves the wrong root
+        for key in [(0.6, 2**12, 1), (0.8, 2**12, 1), (0.6, 2**12, 1), (0.8, 2**16, 7)]:
+            hurst, length, seed = key
+            assert _digest(generate_fgn(FgnSpec(hurst, length, 1.0, seed))) == FGN_DIGESTS[key]
+
+    def test_composite_stream_unchanged(self):
+        trace = generate_multifractal(FgnSpec(0.7, 2**12, 1.0, 1), CascadeSpec(12, 2.0, 1.0, 2))
+        assert _digest(trace) == COMPOSITE_DIGEST
+
+    def test_variance_is_part_of_the_key(self):
+        a = generate_fgn(FgnSpec(0.8, 2**10, 1.0, 3)).samples
+        b = generate_fgn(FgnSpec(0.8, 2**10, 4.0, 3)).samples
+        assert np.array_equal(b, 2.0 * a)
+
+    def test_root_is_read_only(self):
+        root = _root_spectrum(0.8, 1.0, 2**10)
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0] = 0.0
+
+    def test_root_is_sqrt_of_spectrum(self):
+        lam = _embedding_eigenvalues(_fgn_gamma(0.7, 2.0, 0, 2**10))
+        assert _root_spectrum(0.7, 2.0, 2**10).tobytes() == np.sqrt(lam).tobytes()
+
+    def test_cache_size_bounded(self):
+        for k in range(6):
+            generate_fgn(FgnSpec(0.3 + 0.1 * k, 2**8, 1.0, 0))
+        info = _root_spectrum.cache_info()
+        assert info.maxsize == 4 and info.currsize <= 4
+
+    def test_errors_not_cached(self, monkeypatch):
+        calls = []
+
+        def indefinite(gamma):
+            calls.append(gamma.size)
+            raise SynthesisError("indefinite")
+
+        _root_spectrum.cache_clear()
+        monkeypatch.setattr(synth, "_embedding_eigenvalues", indefinite)
+        for _ in range(2):
+            with pytest.raises(SynthesisError):
+                generate_fgn(FgnSpec(0.55, 2**8, 1.0, 0))
+        assert calls == [2**8 + 1, 2**8 + 1]
+        assert _root_spectrum.cache_info().currsize == 0
 
 
 class TestEmbeddingGuard:

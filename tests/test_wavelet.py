@@ -114,6 +114,13 @@ class TestLogscaleDiagram:
         shifted = wavelet_hurst(logscale_diagram(x + 1e7, WaveletSpec("db4", 11)), 3, 10).hurst
         assert shifted == pytest.approx(base, abs=1e-6)
 
+    def test_rejects_overflowing_sums(self):
+        """The diagram's mean would overflow: refused by build_pyramid's
+        rule, before the RuntimeWarnings of the mean and the filters."""
+        x = 1e305 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples + 1e306
+        with pytest.raises(ValueError, match="sums overflow float64"):
+            logscale_diagram(x, WaveletSpec("db4", 9))
+
     def test_white_noise_flat(self):
         x = np.random.default_rng(3).normal(size=2**16)
         diagram = logscale_diagram(x, WaveletSpec("db4", 13))
