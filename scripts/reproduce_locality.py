@@ -48,7 +48,7 @@ def mean_curve(curves):
     """Seed average of locality curves over the same windows."""
     first = curves[0]
     values = np.array([c.estimates() for c in curves]).mean(axis=0)
-    return LocalityCurve(tuple(zip(first.centers(), values)), first.order, first.window_width)
+    return LocalityCurve(tuple(zip(first.centers(), values)), first.window_width)
 
 
 def main() -> int:

@@ -11,8 +11,8 @@ working precision and then rounded once, so totals are bit-stable and
 mass is preserved to within a couple of ulps. Level j+1 of the tree
 pairs adjacent sums of level j, so build_pyramid forms scale 2n from
 scale n's (sum, error) pair and equals aggregate(x, 2**k) bit for bit.
-check_sums_fit is the overflow rule of the two places that sum raw
-samples, build_pyramid and wavelet.logscale_diagram.
+check_sums_fit is the overflow rule of the three places that sum raw
+samples: aggregate, build_pyramid and wavelet.logscale_diagram.
 """
 from __future__ import annotations
 
@@ -65,8 +65,8 @@ SUM_LIMIT = 2.0**1020
 def check_sums_fit(samples: np.ndarray) -> None:
     """The overflow rule of the raw-sample sums: sum |x| must be below
     SUM_LIMIT. It bounds every block sum, mean and partial sum that
-    build_pyramid, the k-statistics and the wavelet diagram take, so a
-    trace that passes makes none of them overflow float64."""
+    aggregate, build_pyramid, the k-statistics and the wavelet diagram
+    take, so a trace that passes makes none of them overflow float64."""
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(samples)))
     if not total < SUM_LIMIT:
@@ -81,11 +81,13 @@ def check_block_size(n) -> None:
 
 
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
-    """Sum non-overlapping blocks of size n; remainder samples dropped."""
+    """Sum non-overlapping blocks of size n; remainder samples dropped.
+    The samples' sums must fit float64 (check_sums_fit)."""
     x = _as_samples(trace_or_samples)
     check_block_size(n)
     if n > x.size:
         raise ValueError(f"block size {n} exceeds trace length {x.size}")
+    check_sums_fit(x)
     n = int(n)
     num_blocks = x.size // n
     if n == 1:
@@ -104,9 +106,6 @@ class AggregatePyramid:
     scales: tuple
     series: dict
     source_length: int
-
-    def __iter__(self):
-        return iter(self.scales)
 
 
 def dyadic_scales(length: int) -> list:

@@ -237,12 +237,11 @@ def _cmd_hurst(args) -> int:
     spectrum = scaling.hurst_spectrum(table, window)
     if args.order in spectrum.omitted:
         raise scaling.InsufficientScalesError(spectrum.omitted[args.order])
-    fit = spectrum.fits[args.order]
+    fit = spectrum.entries[args.order]
     print(f"method=cumulant order={args.order} "
           f"octaves=[{fit.window[0]:g},{fit.window[1]:g}] points={fit.points_used}")
-    for m in sorted(spectrum.entries):
-        h, r2 = spectrum.entries[m]
-        print(f"H({m}) = {h:.4f}  (r2 = {r2:.4f})")
+    for m, entry in sorted(spectrum.entries.items()):
+        print(f"H({m}) = {entry.hurst():.4f}  (r2 = {entry.r_squared:.4f})")
     for m in sorted(spectrum.omitted):
         print(f"H({m}): omitted - {spectrum.omitted[m]}")
     if args.out:

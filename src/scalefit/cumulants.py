@@ -67,7 +67,7 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
         raise ValueError("series must be one-dimensional")
     n = x.size
     # k_m is defined for n >= m (all unbiasing denominators nonzero)
-    if n < max_order or n == 0:
+    if n < max_order:
         raise ValueError(f"series of length {n} is too short for order {max_order}")
     mean = float(row_sums(x[None, :])[0]) / n
     out = np.empty(max_order)

@@ -11,6 +11,12 @@ variation with m indicates multifractality. Sliding the fit window
 across octaves produces a locality curve; a change of slope in such a
 curve (the knee) marks the scale where the estimate becomes
 regime-dependent.
+
+A line fit of a diagram is one record, ScalingFit (slope, intercept,
+r^2, points used, octave window and H), and every estimate keeps it as
+ScalingDiagram.fit returns it: fit_loglog returns it, hurst_spectrum
+keeps one per fitted order and wavelet_hurst reads its H. A slide,
+ScalingDiagram.locality, returns the LocalityCurve itself.
 """
 from __future__ import annotations
 
@@ -68,36 +74,32 @@ def _warn_if_outside_unit(h: float, context: str):
         )
 
 
-@dataclass
-class ScalingFit:
-    """One log-log regression: slope estimates order * H(order)."""
+class ScalingFit(NamedTuple):
+    """One line fit of a ScalingDiagram over an inclusive octave window
+    (j_lo, j_hi), the record every estimate keeps. h is the diagram's
+    Hurst exponent of the slope (ScalingDiagram.hurst)."""
 
-    order: int
     slope: float
     intercept: float
     r_squared: float
-    window: tuple
     points_used: int
+    window: tuple
+    h: float
 
     def hurst(self) -> float:
-        return self.slope / self.order
+        return self.h
 
 
 @dataclass
 class HurstCurve:
-    """H(m) per cumulant order, with reasons for any omitted order.
-
-    fits keeps each fitted order's ScalingFit, so a caller that needs
-    one order's slope reads it here instead of fitting it again.
-    """
+    """Each fitted cumulant order's ScalingFit, with reasons for any
+    omitted order."""
 
     entries: dict
-    window: tuple
     omitted: dict = field(default_factory=dict)
-    fits: dict = field(default_factory=dict)
 
     def hurst(self, m: int) -> float:
-        return self.entries[m][0]
+        return self.entries[m].hurst()
 
 
 @dataclass
@@ -105,7 +107,6 @@ class LocalityCurve:
     """Hurst estimate as a function of the analysis-window position."""
 
     points: tuple
-    order: int
     window_width: int
 
     def centers(self) -> np.ndarray:
@@ -142,16 +143,6 @@ class KneePoint:
         return self.fraction >= threshold
 
 
-class DiagramFit(NamedTuple):
-    """Line fit of a ScalingDiagram over an inclusive octave window."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    points_used: int
-    window: tuple
-
-
 @dataclass(frozen=True)
 class ScalingDiagram:
     """log2 of a scale statistic against octave, ready for line fits.
@@ -173,7 +164,7 @@ class ScalingDiagram:
     def hurst(self, slope: float) -> float:
         return (slope + self.shift) / self.divisor
 
-    def fit(self, window=None) -> DiagramFit:
+    def fit(self, window=None) -> ScalingFit:
         """Fit over the usable points of an inclusive octave window
         (j_lo, j_hi); None spans every octave. Needs MIN_FIT_POINTS points."""
         if window is None:
@@ -188,13 +179,13 @@ class ScalingDiagram:
             )
         weights = None if self.weights is None else self.weights[keep]
         slope, intercept, r_squared, _ = _ols(self.octaves[keep], self.log2_stat[keep], weights)
-        return DiagramFit(slope, intercept, r_squared, used, (j_lo, j_hi))
+        return ScalingFit(slope, intercept, r_squared, used, (j_lo, j_hi), self.hurst(slope))
 
-    def locality(self, window_width: int) -> tuple:
-        """(window center, H) for windows of window_width consecutive
-        octaves, one anchored at each octave. Windows with too few usable
-        points to fit are skipped; fewer than 2 fitted windows is an
-        error."""
+    def locality(self, window_width: int) -> LocalityCurve:
+        """(window center, H) points for windows of window_width
+        consecutive octaves, one anchored at each octave. Windows with too
+        few usable points to fit are skipped; fewer than 2 fitted windows
+        is an error."""
         check_window_width(window_width)
         points = []
         for j0 in self.octaves:
@@ -205,13 +196,13 @@ class ScalingDiagram:
                 fit = self.fit((j0, j1))
             except InsufficientScalesError:
                 continue
-            points.append((float(j0 + (window_width - 1) / 2.0), float(self.hurst(fit.slope))))
+            points.append((float(j0 + (window_width - 1) / 2.0), float(fit.h)))
         if len(points) < 2:
             raise InsufficientScalesError(
                 f"{self.label}: fewer than 2 sliding windows of width {window_width} "
                 f"could be fitted over octaves {self.octaves[0]:g}..{self.octaves[-1]:g}"
             )
-        return tuple(points)
+        return LocalityCurve(points=tuple(points), window_width=window_width)
 
 
 def fit_loglog(table, m: int, window=None) -> ScalingFit:
@@ -221,41 +212,34 @@ def fit_loglog(table, m: int, window=None) -> ScalingFit:
     scale in the table.
     """
     fit = table.scaling_diagram(m).fit(window)
-    result = ScalingFit(m, fit.slope, fit.intercept, fit.r_squared, fit.window, fit.points_used)
     # the order-1 k-statistic of n-blocks is n times the mean, so H(1) = 1
     # by construction and says nothing about the trace
     if m > 1:
-        _warn_if_outside_unit(result.hurst(), f"fit_loglog(order={m})")
-    return result
+        _warn_if_outside_unit(fit.h, f"fit_loglog(order={m})")
+    return fit
 
 
 def hurst_spectrum(table, window=None) -> HurstCurve:
-    """H(m) = slope/m for every fittable order; others recorded as omitted."""
+    """fit_loglog of every fittable order, H(m) = slope/m; others recorded
+    as omitted."""
     entries = {}
     omitted = {}
-    fits = {}
-    resolved_window = None
     for m in table.orders:
         try:
-            fit = fit_loglog(table, m, window)
+            entries[m] = fit_loglog(table, m, window)
         except InsufficientScalesError as exc:
             omitted[m] = str(exc)
-            continue
-        fits[m] = fit
-        entries[m] = (fit.hurst(), fit.r_squared)
-        resolved_window = fit.window
     if not entries:
         raise InsufficientScalesError(
             "no order could be fitted: " + "; ".join(omitted.values())
         )
-    return HurstCurve(entries=entries, window=resolved_window, omitted=omitted, fits=fits)
+    return HurstCurve(entries=entries, omitted=omitted)
 
 
 def locality_curve(table, m: int, window_width: int = DEFAULT_WINDOW_WIDTH) -> LocalityCurve:
     """Order-m Hurst estimates from a window slid across the table's
     octaves (see ScalingDiagram.locality)."""
-    points = table.scaling_diagram(m).locality(window_width)
-    return LocalityCurve(points=points, order=m, window_width=window_width)
+    return table.scaling_diagram(m).locality(window_width)
 
 
 MIN_KNEE_POINTS = 6
@@ -317,7 +301,7 @@ def classify_monofractal(curve: HurstCurve, tolerance: float) -> MonofractalRepo
         raise ValueError(
             f"classification needs at least 2 fitted orders, got {len(curve.entries)}"
         )
-    values = [h for h, _ in curve.entries.values()]
+    values = [fit.hurst() for fit in curve.entries.values()]
     spread = max(values) - min(values)
     return MonofractalReport(
         monofractal=spread <= tolerance,

@@ -107,6 +107,11 @@ def trace_meta(model, params, seed, created) -> dict:
     return dict(zip(META_FIELDS, (model, {} if params is None else params, seed, created)))
 
 
+def _spec_params(spec) -> dict:
+    """A spec's fields but its seed, which trace metadata keeps apart."""
+    return {name: value for name, value in vars(spec).items() if name != "seed"}
+
+
 @dataclass
 class Trace:
     """A finite real-valued increment series with generation metadata
@@ -209,8 +214,7 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     g[1:n] = (z[2:n + 1] + 1j * z[n + 1:2 * n]) / np.sqrt(2.0)
     g[n + 1:] = np.conj(g[1:n][::-1])
     samples = np.fft.ifft(root * g).real[:n] * np.sqrt(2.0 * n)
-    params = {"hurst": spec.hurst, "length": spec.length, "variance": spec.variance}
-    return Trace(samples, trace_meta("fgn", params, spec.seed, _timestamp()))
+    return Trace(samples, trace_meta("fgn", _spec_params(spec), spec.seed, _timestamp()))
 
 
 def _cascade_masses(spec: CascadeSpec) -> np.ndarray:
@@ -242,14 +246,8 @@ def generate_cascade(spec: CascadeSpec) -> Trace:
     partitions the parent mass exactly, so the sample total equals
     total_mass up to floating-point rounding and all cells are >= 0.
     """
-    samples = _cascade_masses(spec)
-    params = {
-        "depth": spec.depth,
-        "multiplier_param": spec.multiplier_param,
-        "total_mass": spec.total_mass,
-        "equal_split": spec.equal_split,
-    }
-    return Trace(samples, trace_meta("cascade", params, spec.seed, _timestamp()))
+    return Trace(_cascade_masses(spec),
+                 trace_meta("cascade", _spec_params(spec), spec.seed, _timestamp()))
 
 
 def check_composite(fgn: FgnSpec, cascade: CascadeSpec) -> None:
@@ -272,17 +270,8 @@ def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     masses = _cascade_masses(cascade)
     mu = masses / math.fsum(masses)
     samples = base.samples * np.sqrt(fgn.length * mu)
-    params = {
-        "hurst": fgn.hurst,
-        "length": fgn.length,
-        "variance": fgn.variance,
-        "fgn_seed": fgn.seed,
-        "depth": cascade.depth,
-        "multiplier_param": cascade.multiplier_param,
-        "total_mass": cascade.total_mass,
-        "equal_split": cascade.equal_split,
-        "cascade_seed": cascade.seed,
-    }
+    params = {**_spec_params(fgn), "fgn_seed": fgn.seed,
+              **_spec_params(cascade), "cascade_seed": cascade.seed}
     return Trace(samples, trace_meta("multifractal", params, fgn.seed, _timestamp()))
 
 

@@ -199,9 +199,8 @@ def write_curve(obj, path) -> None:
                 lines.append(f"{m},{n},{log2_abs},{usable}")
     elif isinstance(obj, HurstCurve):
         lines.append("order,hurst,r_squared")
-        for m in sorted(obj.entries):
-            hurst, r2 = obj.entries[m]
-            lines.append(f"{m},{_fmt(hurst)},{_fmt(r2)}")
+        for m, fit in sorted(obj.entries.items()):
+            lines.append(f"{m},{_fmt(fit.hurst())},{_fmt(fit.r_squared)}")
     else:
         raise TypeError(f"no CSV serialization for {type(obj).__name__}")
     _write_text(path, lines)

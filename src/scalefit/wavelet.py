@@ -188,11 +188,9 @@ def default_fit_range(levels: int):
 def wavelet_hurst(diagram: LogscaleDiagram, j1, j2) -> WaveletHurstFit:
     """Count-weighted fit of log2 energy vs octave over [j1, j2] with
     H = (slope + 1)/2; zero-energy octaves are left out."""
-    scaling_diagram = diagram.scaling_diagram()
-    fit = scaling_diagram.fit((j1, j2))
-    hurst = scaling_diagram.hurst(fit.slope)
-    _warn_if_outside_unit(hurst, "wavelet_hurst")
-    return WaveletHurstFit(hurst=hurst, alpha=fit.slope, r_squared=fit.r_squared)
+    fit = diagram.scaling_diagram().fit((j1, j2))
+    _warn_if_outside_unit(fit.h, "wavelet_hurst")
+    return WaveletHurstFit(hurst=fit.h, alpha=fit.slope, r_squared=fit.r_squared)
 
 
 def wavelet_locality_curve(diagram: LogscaleDiagram,
@@ -200,5 +198,4 @@ def wavelet_locality_curve(diagram: LogscaleDiagram,
     """The logscale diagram slid across octave windows; same curve type
     as the cumulant-based locality analysis, so knee detection applies
     unchanged."""
-    points = diagram.scaling_diagram().locality(window_width)
-    return LocalityCurve(points=points, order=2, window_width=window_width)
+    return diagram.scaling_diagram().locality(window_width)

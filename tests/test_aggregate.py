@@ -66,6 +66,14 @@ class TestAggregate:
         x = rng.normal(size=1024)
         assert np.array_equal(aggregate(x, 7), aggregate(x, 7))
 
+    @pytest.mark.parametrize("n", [1, 2, 4096])
+    def test_rejects_overflowing_sums(self, n):
+        """aggregate applies build_pyramid's overflow rule, before any sum
+        (RuntimeWarnings are errors here)."""
+        x = 1e305 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples + 1e306
+        with pytest.raises(ValueError, match="sums overflow float64"):
+            aggregate(x, n)
+
 
 class TestBuildPyramid:
     def test_level_lengths(self):

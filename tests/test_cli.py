@@ -421,6 +421,8 @@ class TestReport:
     ("locality",),
     ("locality", "--method", "wavelet"),
     ("cumulants", "--out", "{tmp}/table.csv"),
+    ("aggregate", "--scale", "2", "--out", "{tmp}/agg.csv"),
+    ("aggregate", "--scale", "4096", "--out", "{tmp}/agg.csv"),
 ])
 def test_overflowing_sums_one_error_line(overflow_trace, tmp_path, capsys, argv):
     """A finite trace whose sums overflow float64 exits 1 with one error

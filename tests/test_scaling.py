@@ -6,12 +6,14 @@ from scalefit.cumulants import CumulantTable
 from scalefit.scaling import (
     InsufficientScalesError,
     LocalityCurve,
+    ScalingFit,
     classify_monofractal,
     detect_knee,
     fit_loglog,
     hurst_spectrum,
     locality_curve,
 )
+from scalefit.wavelet import LogscaleDiagram, wavelet_hurst, wavelet_locality_curve
 
 
 def synthetic_table(orders, num_octaves, hurst_of, coeff_of=None, unusable=()):
@@ -94,6 +96,54 @@ class TestHurstSpectrum:
             hurst_spectrum(table)
 
 
+def curved_diagram():
+    """Logscale diagram over octaves 1..12 whose slope drifts with octave."""
+    octaves = tuple(range(1, 13))
+    return LogscaleDiagram(
+        octaves=octaves,
+        energy={j: 2.0 ** (0.2 * j + 0.01 * j * j) for j in octaves},
+        counts={j: 2**14 // 2**j for j in octaves},
+    )
+
+
+class TestOneFitRecord:
+    """Every estimate keeps the ScalingFit that ScalingDiagram.fit returns,
+    and every locality curve is the one ScalingDiagram.locality returns."""
+
+    @pytest.mark.parametrize("window", [None, (1, 6)])
+    def test_spectrum_entries_are_diagram_fits(self, window):
+        unusable = {(3, 2**j) for j in range(9)}
+        table = synthetic_table([2, 3, 4], 8, lambda m: 0.9 - 0.05 * m, lambda m: 1.5,
+                                unusable=unusable)
+        spectrum = hurst_spectrum(table, window)
+        assert sorted(spectrum.entries) == [2, 4] and list(spectrum.omitted) == [3]
+        for m, entry in spectrum.entries.items():
+            fit = table.scaling_diagram(m).fit(window)
+            assert isinstance(entry, ScalingFit)
+            assert entry._asdict() == fit._asdict() == fit_loglog(table, m, window)._asdict()
+            assert entry.hurst() == spectrum.hurst(m) == fit.slope / m
+        assert spectrum.entries[2].window == ((1.0, 6.0) if window else (0.0, 8.0))
+        assert spectrum.entries[2].points_used == (6 if window else 9)
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_locality_curves_are_diagram_slides(self, width):
+        table = synthetic_table([2], 10, lambda m: 0.75)
+        diagram = curved_diagram()
+        for curve, slid in ((locality_curve(table, 2, width), table.scaling_diagram(2)),
+                            (wavelet_locality_curve(diagram, width), diagram.scaling_diagram())):
+            assert isinstance(curve, LocalityCurve)
+            assert curve == slid.locality(width)
+            assert curve.window_width == width
+            assert curve.estimates().tolist() == [
+                slid.fit((j, j + width - 1)).h for j in curve.centers() - (width - 1) / 2]
+
+    def test_wavelet_hurst_reads_the_record(self):
+        diagram = curved_diagram()
+        fit = diagram.scaling_diagram().fit((3, 11))
+        assert wavelet_hurst(diagram, 3, 11) == (fit.h, fit.slope, fit.r_squared)
+        assert fit.h == (fit.slope + 1.0) / 2.0
+
+
 class TestLocalityCurve:
     def test_exact_single_power_law_is_flat(self):
         table = synthetic_table([2], 10, lambda m: 0.75)
@@ -145,7 +195,7 @@ class TestDetectKnee:
 
     def test_accepts_locality_curve(self):
         points = tuple((float(j), 0.8 if j < 5 else 0.8 - 0.1 * (j - 5)) for j in range(10))
-        curve = LocalityCurve(points=points, order=2, window_width=4)
+        curve = LocalityCurve(points=points, window_width=4)
         knee = detect_knee(curve)
         assert knee.octave == pytest.approx(5.0, abs=1e-9)
 

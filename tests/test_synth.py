@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -287,6 +288,27 @@ class TestGenerateMultifractal:
         t = generate_multifractal(FgnSpec(0.7, 2**10, 1.0, 1), CascadeSpec(10, 2.0, 1.0, 2))
         assert t.meta["params"]["fgn_seed"] == 1
         assert t.meta["params"]["cascade_seed"] == 2
+
+
+class TestTraceParams:
+    """Each generator's params are its spec's fields but the seed; the
+    composite adds both seeds."""
+
+    def test_params_are_spec_fields(self):
+        fgn = FgnSpec(0.7, 2**10, 2.0, 1)
+        cascade = CascadeSpec(10, 1.5, 3.0, 2)
+        fields = {name: {f.name for f in dataclasses.fields(spec)} - {"seed"}
+                  for name, spec in (("fgn", fgn), ("cascade", cascade))}
+        cases = (
+            (generate_fgn(fgn), fields["fgn"]),
+            (generate_cascade(cascade), fields["cascade"]),
+            (generate_multifractal(fgn, cascade),
+             fields["fgn"] | fields["cascade"] | {"fgn_seed", "cascade_seed"}),
+        )
+        for trace, keys in cases:
+            assert set(trace.meta["params"]) == keys
+        assert generate_fgn(fgn).meta["params"] == {"hurst": 0.7, "length": 2**10,
+                                                    "variance": 2.0}
 
 
 class TestPartialSums:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalefit.cumulants import CumulantTable
-from scalefit.scaling import HurstCurve, LocalityCurve
+from scalefit.scaling import HurstCurve, LocalityCurve, ScalingFit
 from scalefit.synth import FgnSpec, Trace, generate_fgn
 from scalefit.trace_io import (
     TraceFormatError,
@@ -186,7 +186,7 @@ class TestReadErrors:
 
 class TestWriteCurve:
     def test_locality_curve(self, tmp_path):
-        curve = LocalityCurve(points=((1.5, 0.8), (2.5, 0.79)), order=2, window_width=4)
+        curve = LocalityCurve(points=((1.5, 0.8), (2.5, 0.79)), window_width=4)
         path = tmp_path / "c.csv"
         write_curve(curve, path)
         lines = path.read_text().splitlines()
@@ -209,7 +209,7 @@ class TestWriteCurve:
         assert lines[2] == "2,2,nan,false"
 
     def test_empty_curve_header_only(self, tmp_path):
-        curve = LocalityCurve(points=(), order=2, window_width=4)
+        curve = LocalityCurve(points=(), window_width=4)
         path = tmp_path / "c.csv"
         write_curve(curve, path)
         assert path.read_text() == "octave,hurst\n"
@@ -226,7 +226,8 @@ class TestWriteCurve:
         assert lines[2] == "2,nan,4"
 
     def test_hurst_curve(self, tmp_path):
-        curve = HurstCurve(entries={2: (0.8, 0.99), 4: (0.75, 0.9)}, window=(0, 8))
+        curve = HurstCurve(entries={2: ScalingFit(1.6, 0.0, 0.99, 9, (0, 8), 0.8),
+                                    4: ScalingFit(3.0, 0.0, 0.9, 9, (0, 8), 0.75)})
         path = tmp_path / "h.csv"
         write_curve(curve, path)
         lines = path.read_text().splitlines()
