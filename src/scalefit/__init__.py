@@ -38,7 +38,6 @@ from .synth import (
     generate_cascade,
     generate_fgn,
     generate_multifractal,
-    partial_sums,
 )
 from .trace_io import TraceFormatError, read_trace, write_curve, write_trace
 from .wavelet import (
@@ -91,7 +90,6 @@ __all__ = [
     "locality_curve",
     "logscale_diagram",
     "max_levels",
-    "partial_sums",
     "read_trace",
     "sample_cumulants",
     "wavelet_hurst",

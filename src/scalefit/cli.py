@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -77,8 +78,6 @@ def _build_parser():
     gen.add_argument("--mass", type=float, default=1.0, help="cascade total mass [1.0]")
     gen.add_argument("--cascade-seed", type=int, default=None,
                      help="cascade seed (defaults to --seed)")
-    gen.add_argument("--equal-split", action="store_true",
-                     help="degenerate cascade: every split is exactly (1/2, 1/2)")
     gen.add_argument("--out", required=True, help="output CSV path")
 
     agp = sub.add_parser("aggregate", parents=[trace],
@@ -135,7 +134,7 @@ def _check(args):
             if args.model == "multifractal" and args.cascade_seed is not None:
                 seed, flag = args.cascade_seed, "--cascade-seed"
             args.cascade_spec = _owned(synth.CascadeSpec, args.depth, args.multiplier,
-                                       args.mass, seed, args.equal_split, seed=flag)
+                                       args.mass, seed, seed=flag)
         if args.model == "multifractal":
             synth.check_composite(args.fgn_spec, args.cascade_spec)
         return
@@ -163,8 +162,10 @@ def _check(args):
 
 def _summary_line(trace: synth.Trace) -> str:
     x = trace.samples
+    with np.errstate(over="ignore", invalid="ignore"):  # nan for 1 sample, inf past float64
+        variance = np.sum(np.square(x - x.mean())) / (x.size - 1)
     return (
-        f"length={x.size} mean={x.mean():.6g} variance={x.var(ddof=1):.6g} "
+        f"length={x.size} mean={x.mean():.6g} variance={variance:.6g} "
         f"seed={trace.meta.get('seed')}"
     )
 
@@ -219,6 +220,17 @@ def _fit_window(args, default):
             default[1] if args.j_hi is None else args.j_hi)
 
 
+def _knees(curves):
+    """Each method's knee, or the reason its curve is too short for one."""
+    knees, omitted = {}, {}
+    for method, curve in curves.items():
+        try:
+            knees[method] = scaling.detect_knee(curve)
+        except ValueError as exc:
+            omitted[method] = str(exc)
+    return knees, omitted
+
+
 def _cmd_hurst(args) -> int:
     trace = trace_io.read_trace(args.input)
     if args.method == "wavelet":
@@ -260,13 +272,16 @@ def _cmd_locality(args) -> int:
         curve = wavelet.wavelet_locality_curve(diagram, args.window)
     print(f"locality curve: {len(curve.points)} windows of {args.window} octaves "
           f"(method={args.method})")
-    knee = scaling.detect_knee(curve)
-    print(f"knee octave {knee.octave:g}: slopes {knee.left_slope:+.4f} -> "
-          f"{knee.right_slope:+.4f}, sse_reduction {knee.sse_reduction:.3e} "
-          f"({100 * knee.fraction:.1f}% of single-line SSE)")
-    if not knee.significant(args.knee_threshold):
-        print(f"no significant knee (reduction below {100 * args.knee_threshold:.0f}% "
-              "threshold)")
+    knees, omitted = _knees({args.method: curve})
+    for reason in omitted.values():
+        print(f"no knee: {reason}")
+    for knee in knees.values():
+        print(f"knee octave {knee.octave:g}: slopes {knee.left_slope:+.4f} -> "
+              f"{knee.right_slope:+.4f}, sse_reduction {knee.sse_reduction:.3e} "
+              f"({100 * knee.fraction:.1f}% of single-line SSE)")
+        if not knee.significant(args.knee_threshold):
+            print(f"no significant knee (reduction below {100 * args.knee_threshold:.0f}% "
+                  "threshold)")
     if args.out:
         trace_io.write_curve(curve, args.out)
         print(f"wrote {args.out}")
@@ -280,13 +295,7 @@ def _cmd_report(args) -> int:
     diagram, levels = _diagram_for(trace, args.family, args.levels)
     curves = {"cumulant": scaling.locality_curve(table, args.order, args.window),
               "wavelet": wavelet.wavelet_locality_curve(diagram, args.window)}
-    # a curve too short for a knee loses its knees.csv row, not the bundle
-    knees, omitted_knees = {}, {}
-    for method, curve in curves.items():
-        try:
-            knees[method] = scaling.detect_knee(curve)
-        except ValueError as exc:
-            omitted_knees[method] = str(exc)
+    knees, omitted_knees = _knees(curves)
     settings = {"order": args.order, "window": args.window, "family": args.family,
                 "levels": levels, "knee_threshold": args.knee_threshold}
     trace_io.write_report(args.outdir, args.input, table, spectrum, diagram, curves, knees,
@@ -313,11 +322,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # prints the subcommand's usage and "scalefit <cmd>: error: ...", exits 2
         commands[args.command].error(str(exc))
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"scalefit {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # one line per warning shown; "error" filters still raise
+        warnings.showwarning = lambda message, *_: print(
+            f"scalefit {args.command}: warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"scalefit {args.command}: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -147,9 +147,6 @@ class CumulantTable:
     block_counts: dict
     usable: dict
 
-    def usable_scales(self, m: int) -> list:
-        return [n for n in self.scales if self.usable[(m, n)]]
-
     def scaling_diagram(self, m: int) -> ScalingDiagram:
         """log2|k_m| against log2 n, unweighted; H = slope / m."""
         if m not in self.orders:

@@ -42,10 +42,6 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _check_positive(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -68,7 +64,7 @@ class FgnSpec:
 
     def __post_init__(self):
         _check_fgn_params(self.hurst, self.variance)
-        if not _is_power_of_two(self.length) or self.length < 16:
+        if self.length < 16 or self.length & (self.length - 1):
             raise ValueError(f"length must be a power of two >= 16, got {self.length}")
         check_seed(self.seed)
 
@@ -273,14 +269,3 @@ def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     params = {**_spec_params(fgn), "fgn_seed": fgn.seed,
               **_spec_params(cascade), "cascade_seed": cascade.seed}
     return Trace(samples, trace_meta("multifractal", params, fgn.seed, _timestamp()))
-
-
-def partial_sums(trace: Trace) -> Trace:
-    """Cumulative process of an increment trace: y[k] = sum(x[:k+1]).
-
-    Differencing the output recovers the input except for the first
-    element, which equals itself.
-    """
-    params = {"source_model": trace.meta.get("model")}
-    meta = trace_meta("partial_sums", params, trace.meta.get("seed"), _timestamp())
-    return Trace(np.cumsum(trace.samples), meta)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregate import _as_samples, check_sums_fit, dyadic_scales
+from .aggregate import SUM_LIMIT, _as_samples, check_sums_fit, dyadic_scales
 from .cumulants import is_numerical_zero
 from .scaling import DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit
 
@@ -75,7 +75,6 @@ class DwtResult:
 
     details: tuple
     approximation: np.ndarray
-    family: str
 
 
 @dataclass
@@ -112,7 +111,7 @@ def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def dwt(series, spec: WaveletSpec) -> DwtResult:
     """Periodic orthonormal pyramid transform.
 
-    The input length must be a power of two >= 2**levels. Periodic
+    The input length must be a positive multiple of 2**levels. Periodic
     boundary handling preserves exact orthonormality, so the transform
     conserves energy (Parseval); coefficients whose filter support
     wraps around the boundary see the series as circular.
@@ -120,28 +119,26 @@ def dwt(series, spec: WaveletSpec) -> DwtResult:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    n = x.size
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"series length must be a power of two, got {n}")
-    if n < 2**spec.levels:
-        raise ValueError(
-            f"series of length {n} cannot be decomposed over {spec.levels} levels"
-        )
+    if x.size == 0 or x.size % 2**spec.levels:
+        raise ValueError(f"series length must be a positive multiple of "
+                         f"2**levels = {2**spec.levels}, got {x.size}")
     lo, hi = _filters(spec.family)
     a = x
     details = []
     for _ in range(spec.levels):
         a, d = _analysis_step(a, lo, hi)
         details.append(d)
-    return DwtResult(details=tuple(details), approximation=a, family=spec.family)
+    return DwtResult(details=tuple(details), approximation=a)
 
 
 def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     """Mean squared detail coefficient per octave j = 1..levels.
 
-    Unlike the bare transform, the diagram needs aggregate.MIN_BLOCKS
-    detail coefficients at its coarsest octave, and the samples' sums
-    must fit float64 (aggregate.check_sums_fit). The samples are centred
+    Unlike the bare transform, the diagram takes any length that leaves
+    aggregate.MIN_BLOCKS detail coefficients at its coarsest octave, and
+    drops the samples past the last multiple of 2**levels, as aggregate
+    drops a partial block. Their sums (aggregate.check_sums_fit) and
+    centred squares must stay below SUM_LIMIT. The samples are centred
     first: the wavelets' vanishing moment makes the diagram blind to the
     mean, but the filter taps sum to zero only to round-off, so an offset
     would leak into every octave. Energies that are numerically zero
@@ -155,11 +152,17 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
             f"series of length {samples.size} supports a diagram of at most "
             f"{deepest} octaves, got {spec.levels}"
         )
+    samples = samples[: samples.size - samples.size % 2**spec.levels]
     check_sums_fit(samples)
     centred = samples - samples.mean()
     # energies are numpy's fixed-order pairwise sums: a BLAS dot product
     # splits its sum by thread count, so the last digits would follow it
-    variance = float(np.sum(centred * centred)) / centred.size
+    with np.errstate(over="ignore"):
+        squares = float(np.sum(centred * centred))
+    if not squares < SUM_LIMIT:
+        raise ValueError(f"the trace's squares overflow float64: sum (x - mean)^2 = "
+                         f"{squares:.3g} is not below {SUM_LIMIT:.3g}")
+    variance = squares / centred.size
     result = dwt(centred, spec)
     energy = {}
     counts = {}

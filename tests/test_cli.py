@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scalefit
 from scalefit import scaling
@@ -272,6 +276,20 @@ class TestLocality:
         assert run("locality", fgn_trace, "--method", "wavelet") == 0
         assert "knee octave" in capsys.readouterr().out
 
+    def test_short_curve_no_knee_line(self, tmp_path, capsys):
+        """A curve too short for detect_knee is still written: locality
+        prints the reason report records under omitted_knees, exits 0."""
+        trace, out = tmp_path / "cascade.csv", tmp_path / "c.csv"
+        assert run("generate", "--model", "cascade", "--depth", 12, "--seed", 5,
+                   "--out", trace) == 0
+        capsys.readouterr()
+        assert run("locality", trace, "--order", 3, "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "no knee: knee detection needs at least 6 points, got 5", f"wrote {out}"]
+        assert captured.err == ""
+        assert len(out.read_text().splitlines()) == 1 + 5
+
     def test_wavelet_zero_energy_octave_left_out(self, tmp_path, capsys):
         """Haar octave 1 of a trace with every sample repeated twice is
         zero up to round-off; it must not enter the first window's fit.
@@ -294,6 +312,22 @@ class TestAggregateAndCumulants:
         out = tmp_path / "agg.csv"
         assert run("aggregate", fgn_trace, "--scale", 16, "--out", out) == 0
         assert read_trace(out).samples.size == 65536 // 16
+
+    @pytest.mark.parametrize("magnitude, scale, summary", [
+        (1.0, 4096, "length=1 mean=1582.81 variance=nan"),
+        (1e300, 2, "length=2048 mean=7.72858e+299 variance=inf"),
+    ])
+    def test_summary_without_warnings(self, tmp_path, capsys, magnitude, scale, summary):
+        """One block has no sample variance, and squares past float64 have an
+        infinite one: the summary line prints nan or inf and warns nothing."""
+        trace, out = tmp_path / "t.csv", tmp_path / "agg.csv"
+        write_trace(Trace(magnitude * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples), trace)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("aggregate", trace, "--scale", scale, "--out", out) == 0
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert summary in captured.out and captured.err == ""
 
     def test_cumulants_table(self, fgn_trace, tmp_path):
         out = tmp_path / "table.csv"
@@ -353,6 +387,37 @@ class TestReport:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["omitted_knees"] == {
             "cumulant": "knee detection needs at least 6 points, got 5"}
+
+    def test_aggregated_trace_any_length(self, tmp_path, capsys):
+        """aggregate --scale 3 of 2^12 samples leaves 1365: the wavelet path
+        drops the samples past its last multiple of 2**levels, as
+        aggregate does, and both report and wavelet hurst run on it."""
+        trace, agg = tmp_path / "t.csv", tmp_path / "agg.csv"
+        write_trace(generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)), trace)
+        assert run("aggregate", trace, "--scale", 3, "--out", agg) == 0
+        assert read_trace(agg).samples.size == 1365
+        outdir = tmp_path / "rep"
+        assert run("report", agg, "--outdir", outdir) == 0
+        assert len(os.listdir(outdir)) == 7
+        assert run("hurst", agg, "--method", "wavelet") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_warnings_one_line_each(self, tmp_path, capsys):
+        """A warning a command raises prints as one "scalefit <cmd>: warning:"
+        line: H(2) and H(4) of a step trace lie outside (0, 1), and a trace
+        without its sidecar loads with empty metadata."""
+        trace = tmp_path / "step.csv"
+        write_trace(Trace(np.repeat([0.0, 1.0], 2048)), trace)
+        os.remove(f"{trace}.meta.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("report", trace, "--outdir", tmp_path / "rep") == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"scalefit report: warning: sidecar {trace}.meta.json missing; "
+            "trace loaded with empty metadata",
+            *(f"scalefit report: warning: fit_loglog(order={m}): estimated Hurst exponent "
+              f"{h} lies outside (0, 1); reported unclamped" for m, h in ((2, 1.008), (4, 1.003)))]
 
     def test_rerun_byte_identical(self, fgn_trace, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -438,6 +503,62 @@ def test_overflowing_sums_one_error_line(overflow_trace, tmp_path, capsys, argv)
         f"scalefit {argv[0]}: error: the trace's sums overflow float64: "
         f"sum |x| = inf is not below 1.12e+307"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["hurst", "locality"])
+def test_overflowing_squares_one_error_line(tmp_path, capsys, command):
+    """Samples whose sums fit float64 but whose squares do not: the
+    wavelet path names the overflow in one error line and warns nothing."""
+    trace = tmp_path / "t.csv"
+    write_trace(Trace(1e160 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples), trace)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, trace, "--method", "wavelet") == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"scalefit {command}: error: the trace's squares overflow float64: "
+        "sum (x - mean)^2 = inf is not below 1.12e+307"]
+
+
+# a long fGn whose leading samples are the contract test's fGn traces
+_FGN = generate_fgn(FgnSpec(0.8, 8192, 1.0, 11)).samples
+CONTRACT_ARGV = [
+    ("report", "--outdir", "{tmp}/rep"),
+    ("hurst",),
+    ("hurst", "--method", "wavelet"),
+    ("locality",),
+    ("locality", "--method", "wavelet"),
+    ("cumulants", "--out", "{tmp}/table.csv"),
+    ("aggregate", "--scale", "2", "--out", "{tmp}/agg.csv"),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["fgn", "constant", "step"]), length=st.integers(1, 5000),
+       exponent=st.integers(-300, 300))
+@example(kind="fgn", length=4096, exponent=160)
+@example(kind="fgn", length=1365, exponent=0)
+@example(kind="step", length=4096, exponent=0)
+@example(kind="constant", length=2, exponent=0)
+def test_stderr_contract(kind, length, exponent):
+    """Every finite trace, whatever its kind, length or magnitude, ends each
+    command in exit 0 or 1, and every stderr line is the command's own:
+    "scalefit <cmd>: error: ..." or "scalefit <cmd>: warning: ..."."""
+    samples = {"fgn": _FGN[:length], "constant": np.ones(length),
+               "step": np.arange(length) >= length // 2}[kind] * 10.0**exponent
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        write_trace(Trace(samples), trace)
+        for command, *flags in CONTRACT_ARGV:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command, str(trace), *(f.format(tmp=tmp) for f in flags)])
+            assert code in (0, 1), (command, err.getvalue())
+            assert [str(w.message) for w in caught] == [], command
+            assert all(line.startswith(f"scalefit {command}: ")
+                       for line in err.getvalue().splitlines()), err.getvalue()
 
 
 class TestEndToEndDeterminism:

@@ -19,7 +19,6 @@ from scalefit.synth import (
     generate_cascade,
     generate_fgn,
     generate_multifractal,
-    partial_sums,
 )
 
 
@@ -309,29 +308,6 @@ class TestTraceParams:
             assert set(trace.meta["params"]) == keys
         assert generate_fgn(fgn).meta["params"] == {"hurst": 0.7, "length": 2**10,
                                                     "variance": 2.0}
-
-
-class TestPartialSums:
-    def test_simple(self):
-        t = partial_sums(Trace(np.array([1.0, 2.0, 3.0])))
-        assert np.array_equal(t.samples, [1.0, 3.0, 6.0])
-
-    def test_zeros(self):
-        t = partial_sums(Trace(np.zeros(5)))
-        assert np.array_equal(t.samples, np.zeros(5))
-
-    def test_singleton(self):
-        t = partial_sums(Trace(np.array([5.0])))
-        assert np.array_equal(t.samples, [5.0])
-
-    @settings(max_examples=50)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
-    def test_differencing_recovers_increments(self, values):
-        x = np.array(values)
-        y = partial_sums(Trace(x)).samples
-        assert y.size == x.size
-        assert y[0] == x[0]
-        np.testing.assert_allclose(np.diff(y), x[1:], rtol=0, atol=1e-6)
 
 
 class TestTraceInvariants:

@@ -41,6 +41,13 @@ class TestDwt:
         result = dwt(x, WaveletSpec(family, 7))
         assert transform_energy(result) == pytest.approx(float(x @ x), rel=1e-8)
 
+    @pytest.mark.parametrize("family", ["haar", "db4"])
+    def test_parseval_non_power_of_two(self, family):
+        x = np.random.default_rng(4).normal(size=3 * 2**9)
+        result = dwt(x, WaveletSpec(family, 5))
+        assert result.approximation.size == 48
+        assert transform_energy(result) == pytest.approx(float(x @ x), rel=1e-8)
+
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(["haar", "db4"]),
@@ -70,8 +77,11 @@ class TestDwt:
         assert result.approximation.size == 16
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            dwt(np.zeros(100), WaveletSpec("haar", 2))
+        """A length 2**levels does not divide is refused, power of two or
+        not: 100 = 4 x 25 takes 2 levels, not 3."""
+        with pytest.raises(ValueError, match="multiple of 2\\*\\*levels = 8, got 100"):
+            dwt(np.zeros(100), WaveletSpec("haar", 3))
+        assert [d.size for d in dwt(np.zeros(100), WaveletSpec("haar", 2)).details] == [50, 25]
 
     def test_rejects_too_many_levels(self):
         with pytest.raises(ValueError):
@@ -119,6 +129,22 @@ class TestLogscaleDiagram:
         rule, before the RuntimeWarnings of the mean and the filters."""
         x = 1e305 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples + 1e306
         with pytest.raises(ValueError, match="sums overflow float64"):
+            logscale_diagram(x, WaveletSpec("db4", 9))
+
+    def test_drops_remainder(self):
+        """1365 samples over 7 octaves: the leading 1280 (10 x 2**7) are
+        transformed, as aggregate drops a partial block."""
+        x = generate_fgn(FgnSpec(0.8, 2**11, 1.0, 5)).samples[:1365]
+        spec = WaveletSpec("db4", 7)
+        diagram = logscale_diagram(x, spec)
+        assert diagram == logscale_diagram(x[:1280], spec)
+        assert [diagram.counts[j] for j in diagram.octaves] == [640, 320, 160, 80, 40, 20, 10]
+
+    def test_rejects_overflowing_squares(self):
+        """Sums that fit but squares that do not: refused by name, with no
+        RuntimeWarning on the way (RuntimeWarnings are errors here)."""
+        x = 1e160 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples
+        with pytest.raises(ValueError, match="squares overflow float64"):
             logscale_diagram(x, WaveletSpec("db4", 9))
 
     def test_white_noise_flat(self):
