@@ -11,8 +11,8 @@ working precision and then rounded once, so totals are bit-stable and
 mass is preserved to within a couple of ulps. Level j+1 of the tree
 pairs adjacent sums of level j, so build_pyramid forms scale 2n from
 scale n's (sum, error) pair and equals aggregate(x, 2**k) bit for bit.
-check_sums_fit is the overflow rule of the three places that sum raw
-samples: aggregate, build_pyramid and wavelet.logscale_diagram.
+check_sums_fit and check_squares_fit are the overflow rules of the raw
+sums and of the centred squares the package takes.
 """
 from __future__ import annotations
 
@@ -74,10 +74,21 @@ def check_sums_fit(samples: np.ndarray) -> None:
                          f"is not below {SUM_LIMIT:.3g}")
 
 
-def check_block_size(n) -> None:
-    """Block sizes are positive integers."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"block size must be a positive integer, got {n}")
+def check_squares_fit(centred: np.ndarray) -> float:
+    """sum (x - mean)^2 of centred samples, below SUM_LIMIT (numpy's pairwise sum)."""
+    with np.errstate(over="ignore"):
+        squares = float(np.sum(centred * centred))
+    if not squares < SUM_LIMIT:
+        raise ValueError(f"the trace's squares overflow float64: sum (x - mean)^2 = "
+                         f"{squares:.3g} is not below {SUM_LIMIT:.3g}")
+    return squares
+
+
+def check_block_size(n, name: str = "block size") -> int:
+    """Block sizes and wavelet pyramid depths are positive integers."""
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError(f"{name} must be a positive integer, got {n}")
+    return int(n)
 
 
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
@@ -128,11 +139,10 @@ def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
     check_sums_fit(x)
     if scales is None:
         scales = dyadic_scales(x.size)
-    scales = sorted({int(s) for s in scales})
+    scales = sorted({check_block_size(s) for s in scales})
     if not scales:
         raise ValueError("scales must be nonempty")
     for n in scales:
-        check_block_size(n)
         if x.size // n < MIN_BLOCKS:
             raise ValueError(
                 f"scale {n} leaves {x.size // n} blocks of a length-{x.size} trace; "

@@ -2,33 +2,35 @@
 plot-ready CSV reporting.
 
 Exit codes: 0 success, 1 computation/estimation failure, 2 usage or
-validation failure. All flag values are validated before any
-computation starts, each by the module that owns its rule (the spec
-objects and the check functions), so no flag combination can reach a
-module with an out-of-range argument. Set the environment variable
-SCALEFIT_FIXED_CLOCK to freeze recorded timestamps and make
-generate -> report pipelines byte-reproducible.
+validation failure. Before any computation starts, every flag given is
+checked by its owner's rule (_RULES) under the flag's name; the CLI
+owns only the input-file rule and the rules that join flags. Set the
+environment variable SCALEFIT_FIXED_CLOCK to freeze recorded timestamps
+and make generate -> report pipelines byte-reproducible.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
 
 import numpy as np
 
-from . import cumulants, scaling, synth, trace_io, wavelet
+from . import cumulants, rng, scaling, synth, trace_io, wavelet
 from .aggregate import aggregate as aggregate_series
 from .aggregate import build_pyramid, check_block_size
 
-# The flag that sets each owner parameter; an owner's error message opens
-# with "<parameter> must", and the CLI names the flag there instead.
-_FLAG_OF = {"hurst": "--hurst", "length": "--length", "variance": "--variance",
-            "seed": "--seed", "depth": "--depth", "multiplier_param": "--multiplier",
-            "total_mass": "--mass", "levels": "--levels", "window_width": "--window",
-            "block size": "--scale"}
+# each flag's owner rule by dest, called as rule(value, "--flag") on every flag given
+_RULES = {
+    "hurst": synth.check_hurst, "variance": synth.check_positive,
+    "length": synth.check_fgn_length, "seed": rng.check_seed, "depth": synth.check_depth,
+    "multiplier": synth.check_positive, "mass": synth.check_positive,
+    "cascade_seed": rng.check_seed, "max_order": cumulants.check_order,
+    "order": cumulants.check_order, "scale": check_block_size, "levels": check_block_size,
+    "window": scaling.check_window_width, "j_lo": scaling.check_finite,
+    "j_hi": scaling.check_finite, "knee_threshold": scaling.check_knee_threshold,
+}
 
 
 def _build_parser():
@@ -108,56 +110,23 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _owned(build, *values, **flags):
-    """build(*values), an owner's spec or check, whose error names the flag
-    (_FLAG_OF, overridden by flags) that set the failing parameter."""
-    try:
-        return build(*values)
-    except ValueError as exc:
-        param, sep, rest = str(exc).partition(" must ")
-        flag = {**_FLAG_OF, **flags}.get(param)
-        if not sep or flag is None:
-            raise
-        raise ValueError(f"{flag} must {rest}") from None
-
-
 def _check(args):
-    """Raise ValueError for the first invalid flag; generate's specs are
-    kept on args. The CLI owns only the input-file, fit-window and
-    knee-threshold rules; every other rule is checked by its owner."""
+    """Raise ValueError for the first invalid flag; keep generate's specs on args."""
+    flags = vars(args)
+    if "input" in flags and not os.path.exists(args.input):
+        raise ValueError(f"input trace not found: {args.input}")
+    for dest, rule in _RULES.items():
+        if flags.get(dest) is not None:
+            rule(flags[dest], "--" + dest.replace("_", "-"))
+    if None not in (flags.get("j_lo"), flags.get("j_hi")) and args.j_lo >= args.j_hi:
+        raise ValueError(f"--j-lo must be below --j-hi, got [{args.j_lo}, {args.j_hi}]")
     if args.command == "generate":
-        if args.model != "cascade":
-            args.fgn_spec = _owned(synth.FgnSpec, args.hurst, args.length, args.variance,
-                                   args.seed)
-        if args.model != "fgn":
-            seed, flag = args.seed, "--seed"
-            if args.model == "multifractal" and args.cascade_seed is not None:
-                seed, flag = args.cascade_seed, "--cascade-seed"
-            args.cascade_spec = _owned(synth.CascadeSpec, args.depth, args.multiplier,
-                                       args.mass, seed, seed=flag)
+        cascade_seed = args.cascade_seed if args.model == "multifractal" else None
+        args.fgn_spec = synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
+        args.cascade_spec = synth.CascadeSpec(args.depth, args.multiplier, args.mass,
+                                              args.seed if cascade_seed is None else cascade_seed)
         if args.model == "multifractal":
             synth.check_composite(args.fgn_spec, args.cascade_spec)
-        return
-    flags = vars(args)
-    if not os.path.exists(args.input):
-        raise ValueError(f"input trace not found: {args.input}")
-    for name in ("max_order", "order"):
-        if name in flags:
-            cumulants.check_order(flags[name], f"--{name.replace('_', '-')}")
-    if "scale" in flags:
-        _owned(check_block_size, args.scale)
-    if flags.get("levels") is not None:
-        _owned(wavelet.WaveletSpec, args.family, args.levels)
-    if "window" in flags:
-        _owned(scaling.check_window_width, args.window)
-    for name in ("j_lo", "j_hi", "knee_threshold"):
-        if flags.get(name) is not None and not math.isfinite(flags[name]):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {flags[name]}")
-    if flags.get("knee_threshold", 0.0) < 0.0:
-        raise ValueError(f"--knee-threshold must be nonnegative, got {args.knee_threshold}")
-    if flags.get("j_lo") is not None and flags.get("j_hi") is not None:
-        if args.j_lo >= args.j_hi:
-            raise ValueError(f"--j-lo must be below --j-hi, got [{args.j_lo}, {args.j_hi}]")
 
 
 def _summary_line(trace: synth.Trace) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import row_sums
+from .aggregate import check_squares_fit, row_sums
 from .scaling import ScalingDiagram
 
 MAX_ORDER = 6
@@ -172,8 +172,11 @@ def _cell_usable(m: int, value: float, k2: float, blocks: int) -> bool:
 
 
 def cumulant_scaling_table(pyramid, max_order: int = DEFAULT_ORDER) -> CumulantTable:
-    """Estimate k_1..k_max_order at every aggregation scale."""
+    """Estimate k_1..k_max_order at every aggregation scale. The finest
+    level's centred squares must fit float64 (aggregate.check_squares_fit)."""
     check_order(max_order)
+    finest = pyramid.series[pyramid.scales[0]]
+    check_squares_fit(finest - finest.mean())
     values = {}
     usable = {}
     block_counts = {}

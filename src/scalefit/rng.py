@@ -14,11 +14,11 @@ import numpy as np
 SEED_MAX = 2**64 - 1
 
 
-def check_seed(seed) -> int:
+def check_seed(seed, name: str = "seed") -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
     return int(seed)
 
 

@@ -39,11 +39,17 @@ DEFAULT_WINDOW_WIDTH = 4
 DEFAULT_KNEE_THRESHOLD = 0.2
 
 
-def check_window_width(window_width: int) -> None:
+def check_window_width(window_width: int, name: str = "window_width") -> None:
     """A locality window spans at least MIN_FIT_POINTS octaves."""
     if window_width < MIN_FIT_POINTS:
-        raise ValueError(f"window_width must be at least {MIN_FIT_POINTS} octaves, "
+        raise ValueError(f"{name} must be at least {MIN_FIT_POINTS} octaves, "
                          f"got {window_width}")
+
+
+def check_finite(value, name: str) -> None:
+    """Fit-window octaves and knee thresholds are finite."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _ols(x: np.ndarray, y: np.ndarray, w=None):
@@ -141,6 +147,13 @@ class KneePoint:
     def significant(self, threshold: float) -> bool:
         """The knee removes at least threshold of the single-line SSE."""
         return self.fraction >= threshold
+
+
+def check_knee_threshold(threshold: float, name: str = "threshold") -> None:
+    """KneePoint.significant's threshold is finite and nonnegative."""
+    check_finite(threshold, name)
+    if threshold < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {threshold}")
 
 
 @dataclass(frozen=True)

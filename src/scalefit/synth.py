@@ -42,15 +42,24 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _check_positive(name: str, value) -> None:
+def check_hurst(hurst, name: str = "hurst") -> None:
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"{name} must be in the open interval (0, 1), got {hurst}")
+
+
+def check_fgn_length(length, name: str = "length") -> None:
+    if length < 16 or length & (length - 1):
+        raise ValueError(f"{name} must be a power of two >= 16, got {length}")
+
+
+def check_depth(depth, name: str = "depth") -> None:
+    if not isinstance(depth, (int, np.integer)) or depth < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {depth}")
+
+
+def check_positive(value, name: str) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _check_fgn_params(hurst, variance) -> None:
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must be in the open interval (0, 1), got {hurst}")
-    _check_positive("variance", variance)
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,9 @@ class FgnSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fgn_params(self.hurst, self.variance)
-        if self.length < 16 or self.length & (self.length - 1):
-            raise ValueError(f"length must be a power of two >= 16, got {self.length}")
+        check_hurst(self.hurst)
+        check_positive(self.variance, "variance")
+        check_fgn_length(self.length)
         check_seed(self.seed)
 
 
@@ -86,10 +95,9 @@ class CascadeSpec:
     equal_split: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.depth, (int, np.integer)) or self.depth < 2:
-            raise ValueError(f"depth must be an integer >= 2, got {self.depth}")
-        _check_positive("multiplier_param", self.multiplier_param)
-        _check_positive("total_mass", self.total_mass)
+        check_depth(self.depth)
+        check_positive(self.multiplier_param, "multiplier_param")
+        check_positive(self.total_mass, "total_mass")
         check_seed(self.seed)
 
 
@@ -133,7 +141,8 @@ def fgn_autocovariance(hurst: float, variance: float, lag: int) -> float:
     gamma(k) = (variance/2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H});
     gamma(0) = variance, and gamma(k) = 0 for all k >= 1 when H = 1/2.
     """
-    _check_fgn_params(hurst, variance)
+    check_hurst(hurst)
+    check_positive(variance, "variance")
     if isinstance(lag, bool) or not (math.isfinite(lag) and lag >= 0 and int(lag) == lag):
         raise ValueError(f"lag must be a nonnegative integer, got {lag}")
     return float(_fgn_gamma(hurst, variance, int(lag), int(lag))[0])

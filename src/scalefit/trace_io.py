@@ -77,40 +77,40 @@ def write_trace(trace: Trace, path) -> None:
                                      **trace_meta(*map(trace.meta.get, META_FIELDS))})
 
 
+_JSON_TYPE = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
 def read_trace(path) -> Trace:
     """Load a trace written by write_trace.
 
     A missing sidecar degrades to empty metadata with a warning; a
-    present but inconsistent sidecar (unknown format version, length
-    mismatch) is an error.
+    present but inconsistent sidecar (not a JSON object, unknown format
+    version, length mismatch) is an error.
     """
     samples = _read_samples(path)
     if samples is None:
         samples = _parse_samples(path)
-
-    meta = {}
     spath = sidecar_path(path)
     if not os.path.exists(spath):
         warnings.warn(f"sidecar {spath} missing; trace loaded with empty metadata")
-    else:
-        with open(spath, "r", encoding="ascii") as fh:
-            try:
-                sidecar = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"{spath}: invalid JSON: {exc}") from exc
-        version = sidecar.get("format")
-        if version != FORMAT_VERSION:
-            raise TraceFormatError(
-                f"{spath}: unknown format version {version!r} (expected {FORMAT_VERSION!r})"
-            )
-        declared = sidecar.get("length")
-        if declared != len(samples):
-            raise TraceFormatError(
-                f"{spath}: declared length {declared} does not match "
-                f"{len(samples)} samples in {path}"
-            )
-        meta = trace_meta(*map(sidecar.get, META_FIELDS))
-    return Trace(samples, meta)
+        return Trace(samples, {})
+    with open(spath, "r", encoding="ascii") as fh:
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"{spath}: invalid JSON: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise TraceFormatError(f"{spath}: expected a JSON object, got {_JSON_TYPE[type(sidecar)]}")
+    version = sidecar.get("format")
+    if version != FORMAT_VERSION:
+        raise TraceFormatError(f"{spath}: unknown format version {version!r} "
+                               f"(expected {FORMAT_VERSION!r})")
+    declared = sidecar.get("length")
+    if declared != len(samples):
+        raise TraceFormatError(f"{spath}: declared length {declared!r} does not match "
+                               f"{len(samples)} samples in {path}")
+    return Trace(samples, trace_meta(*map(sidecar.get, META_FIELDS)))
 
 
 _ROW = np.dtype([("i", np.int64), ("v", np.float64)])

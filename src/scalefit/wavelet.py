@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregate import SUM_LIMIT, _as_samples, check_sums_fit, dyadic_scales
+from .aggregate import (_as_samples, check_block_size, check_squares_fit, check_sums_fit,
+                        dyadic_scales)
 from .cumulants import is_numerical_zero
 from .scaling import DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit
 
@@ -59,8 +60,7 @@ class WaveletSpec:
     def __post_init__(self):
         if self.family not in _SCALING_FILTERS:
             raise ValueError(f"unknown wavelet family {self.family!r}; choose from {FAMILIES}")
-        if self.levels < 1 or int(self.levels) != self.levels:
-            raise ValueError(f"levels must be a positive integer, got {self.levels}")
+        check_block_size(self.levels, "levels")
 
 
 def max_levels(length: int) -> int:
@@ -138,7 +138,8 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     aggregate.MIN_BLOCKS detail coefficients at its coarsest octave, and
     drops the samples past the last multiple of 2**levels, as aggregate
     drops a partial block. Their sums (aggregate.check_sums_fit) and
-    centred squares must stay below SUM_LIMIT. The samples are centred
+    centred squares (aggregate.check_squares_fit) must stay below
+    aggregate.SUM_LIMIT. The samples are centred
     first: the wavelets' vanishing moment makes the diagram blind to the
     mean, but the filter taps sum to zero only to round-off, so an offset
     would leak into every octave. Energies that are numerically zero
@@ -155,18 +156,12 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     samples = samples[: samples.size - samples.size % 2**spec.levels]
     check_sums_fit(samples)
     centred = samples - samples.mean()
-    # energies are numpy's fixed-order pairwise sums: a BLAS dot product
-    # splits its sum by thread count, so the last digits would follow it
-    with np.errstate(over="ignore"):
-        squares = float(np.sum(centred * centred))
-    if not squares < SUM_LIMIT:
-        raise ValueError(f"the trace's squares overflow float64: sum (x - mean)^2 = "
-                         f"{squares:.3g} is not below {SUM_LIMIT:.3g}")
-    variance = squares / centred.size
+    variance = check_squares_fit(centred) / centred.size
     result = dwt(centred, spec)
     energy = {}
     counts = {}
     for j, d in enumerate(result.details, start=1):
+        # numpy's fixed-order pairwise sum: a BLAS dot product's digits follow the thread count
         mu = float(np.sum(d * d)) / d.size
         energy[j] = 0.0 if is_numerical_zero(mu, variance) else mu
         counts[j] = d.size

@@ -108,6 +108,14 @@ class TestBuildPyramid:
         pyramid = build_pyramid(np.zeros(64), [4, 1, 4, 2])
         assert pyramid.scales == (1, 2, 4)
 
+    @pytest.mark.parametrize("scale", [2.5, 0.5, float("inf"), float("nan")])
+    def test_rejects_non_integer_scales(self, scale):
+        """Each given scale meets the block-size rule before it is
+        converted, as aggregate's block size does."""
+        with pytest.raises(ValueError, match=f"block size must be a positive integer, "
+                                             f"got {scale}"):
+            build_pyramid(np.zeros(64), [1, scale])
+
     def test_rejects_overflowing_sums(self):
         """Finite samples whose sums pass float64's range are refused by
         name, before any sum (RuntimeWarnings are errors here)."""

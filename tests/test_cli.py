@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scalefit
-from scalefit import scaling
+from scalefit import cumulants, rng, scaling, synth, wavelet
+from scalefit.aggregate import check_block_size
 from scalefit.cli import main
 from scalefit.synth import FgnSpec, Trace, generate_fgn
-from scalefit.trace_io import read_trace, write_trace
+from scalefit.trace_io import read_trace, sidecar_path, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -137,6 +138,13 @@ INVALID_FLAGS = [
     (["generate", "--model", "multifractal", "--length", 1024, "--depth", 10,
       "--cascade-seed", -1, "--out", "{out}"],
      "--cascade-seed must be an unsigned 64-bit integer, got -1"),
+    # every flag given is checked, whether or not the model reads it
+    (["generate", "--model", "fgn", "--depth", 1, "--length", 1024, "--out", "{out}"],
+     "--depth must be an integer >= 2, got 1"),
+    (["generate", "--model", "cascade", "--hurst", 1.5, "--depth", 4, "--out", "{out}"],
+     "--hurst must be in the open interval (0, 1), got 1.5"),
+    (["generate", "--model", "cascade", "--cascade-seed", -1, "--depth", 4, "--out", "{out}"],
+     "--cascade-seed must be an unsigned 64-bit integer, got -1"),
 ]
 
 
@@ -154,6 +162,49 @@ def test_invalid_flag_exit_2(fgn_trace, tmp_path, capsys, argv, named):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and named in errors[0], captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("check, value, rest", [
+    (synth.check_hurst, 1.2, "must be in the open interval (0, 1), got 1.2"),
+    (synth.check_fgn_length, 1000, "must be a power of two >= 16, got 1000"),
+    (synth.check_depth, 1, "must be an integer >= 2, got 1"),
+    (synth.check_positive, float("inf"), "must be finite and positive, got inf"),
+    (rng.check_seed, -1, "must be an unsigned 64-bit integer, got -1"),
+    (rng.check_seed, 1.5, "must be an integer, got 1.5"),
+    (check_block_size, 0, "must be a positive integer, got 0"),
+    (cumulants.check_order, 7, "must be in 1..6, got 7"),
+    (scaling.check_window_width, 2, "must be at least 3 octaves, got 2"),
+    (scaling.check_finite, float("nan"), "must be finite, got nan"),
+    (scaling.check_knee_threshold, float("inf"), "must be finite, got inf"),
+    (scaling.check_knee_threshold, -1.0, "must be nonnegative, got -1.0"),
+])
+def test_owner_check_reports_given_name(check, value, rest):
+    """Each owner rule names what it is told to: the CLI passes its flag."""
+    with pytest.raises(ValueError) as excinfo:
+        check(value, "--some-flag")
+    assert str(excinfo.value) == f"--some-flag {rest}"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: synth.FgnSpec(1.2, 4096), "hurst must be in the open interval (0, 1), got 1.2"),
+    (lambda: synth.FgnSpec(0.7, 1000), "length must be a power of two >= 16, got 1000"),
+    (lambda: synth.FgnSpec(0.7, 1024, 0.0), "variance must be finite and positive, got 0.0"),
+    (lambda: synth.FgnSpec(0.7, 1024, 1.0, -1),
+     "seed must be an unsigned 64-bit integer, got -1"),
+    (lambda: synth.CascadeSpec(1), "depth must be an integer >= 2, got 1"),
+    (lambda: synth.CascadeSpec(4, float("inf")),
+     "multiplier_param must be finite and positive, got inf"),
+    (lambda: synth.CascadeSpec(4, 2.0, -1.0), "total_mass must be finite and positive, got -1.0"),
+    (lambda: wavelet.WaveletSpec("db4", 0), "levels must be a positive integer, got 0"),
+    (lambda: scaling.check_window_width(2), "window_width must be at least 3 octaves, got 2"),
+    (lambda: check_block_size(0), "block size must be a positive integer, got 0"),
+    (lambda: scaling.check_knee_threshold(-1.0), "threshold must be nonnegative, got -1.0"),
+])
+def test_library_messages_name_fields(build, message):
+    """Specs and library calls report their own field and parameter names."""
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("argv", [
@@ -505,19 +556,45 @@ def test_overflowing_sums_one_error_line(overflow_trace, tmp_path, capsys, argv)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["hurst", "locality"])
-def test_overflowing_squares_one_error_line(tmp_path, capsys, command):
-    """Samples whose sums fit float64 but whose squares do not: the
-    wavelet path names the overflow in one error line and warns nothing."""
-    trace = tmp_path / "t.csv"
-    write_trace(Trace(1e160 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples), trace)
+@pytest.fixture(scope="module")
+def squares_trace(tmp_path_factory):
+    """Finite samples whose sums fit float64 but whose squares do not."""
+    path = tmp_path_factory.mktemp("traces") / "squares.csv"
+    write_trace(Trace(1e160 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples), path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("hurst", "--method", "wavelet"), id="hurst"),
+    pytest.param(("locality", "--method", "wavelet"), id="locality"),
+    pytest.param(("hurst",), id="hurst-cumulant"),
+    pytest.param(("locality",), id="locality-cumulant"),
+    pytest.param(("cumulants", "--out", "{tmp}/table.csv"), id="cumulants"),
+    pytest.param(("report", "--outdir", "{tmp}/rep"), id="report"),
+])
+def test_overflowing_squares_one_error_line(squares_trace, tmp_path, capsys, argv):
+    """Both routes name the squares overflow in one error line, warn
+    nothing and write nothing."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(command, trace, "--method", "wavelet") == 1
+        code = run(argv[0], squares_trace, *(a.format(tmp=tmp_path) for a in argv[1:]))
+    captured = capsys.readouterr()
+    assert code == 1
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err.splitlines() == [
-        f"scalefit {command}: error: the trace's squares overflow float64: "
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"scalefit {argv[0]}: error: the trace's squares overflow float64: "
         "sum (x - mean)^2 = inf is not below 1.12e+307"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sidecar_not_an_object_one_error_line(fgn_trace, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(fgn_trace.read_bytes())
+    Path(sidecar_path(trace)).write_text("[]\n")
+    assert run("hurst", trace) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"scalefit hurst: error: {sidecar_path(trace)}: expected a JSON object, got array"]
 
 
 # a long fGn whose leading samples are the contract test's fGn traces

@@ -169,6 +169,28 @@ class TestReadErrors:
         with pytest.raises(TraceFormatError, match="length"):
             read_trace(path)
 
+    def test_length_shown_as_declared(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([1.0, 2.0]), path)
+        meta = json.loads(Path(sidecar_path(path)).read_text())
+        meta["length"] = "2"
+        with open(sidecar_path(path), "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(TraceFormatError, match="declared length '2' does not match 2"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("content, found", [
+        ("[]", "array"), ('"x"', "string"), ("5", "number"), ("null", "null"),
+        ("true", "boolean")])
+    def test_sidecar_not_an_object(self, tmp_path, content, found):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([1.0, 2.0]), path)
+        Path(sidecar_path(path)).write_text(content)
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == \
+            f"{sidecar_path(path)}: expected a JSON object, got {found}"
+
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(make_trace([1.0, 2.0]), path)
