@@ -20,10 +20,8 @@ from .scaling import (
     InsufficientScalesError,
     KneePoint,
     LocalityCurve,
-    MonofractalReport,
     ScalingDiagram,
     ScalingFit,
-    classify_monofractal,
     detect_knee,
     fit_loglog,
     hurst_spectrum,
@@ -65,7 +63,6 @@ __all__ = [
     "KneePoint",
     "LocalityCurve",
     "LogscaleDiagram",
-    "MonofractalReport",
     "ScalingDiagram",
     "ScalingFit",
     "SynthesisError",
@@ -75,7 +72,6 @@ __all__ = [
     "WaveletSpec",
     "aggregate",
     "build_pyramid",
-    "classify_monofractal",
     "cumulant_scaling_table",
     "detect_knee",
     "dwt",

@@ -121,10 +121,10 @@ def _check(args):
     if None not in (flags.get("j_lo"), flags.get("j_hi")) and args.j_lo >= args.j_hi:
         raise ValueError(f"--j-lo must be below --j-hi, got [{args.j_lo}, {args.j_hi}]")
     if args.command == "generate":
-        cascade_seed = args.cascade_seed if args.model == "multifractal" else None
         args.fgn_spec = synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
-        args.cascade_spec = synth.CascadeSpec(args.depth, args.multiplier, args.mass,
-                                              args.seed if cascade_seed is None else cascade_seed)
+        args.cascade_spec = synth.CascadeSpec(
+            args.depth, args.multiplier, args.mass,
+            args.seed if args.cascade_seed is None else args.cascade_seed)
         if args.model == "multifractal":
             synth.check_composite(args.fgn_spec, args.cascade_spec)
 

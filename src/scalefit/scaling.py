@@ -295,30 +295,3 @@ def detect_knee(curve_or_xy) -> KneePoint:
         split_sse=float(total),
     )
 
-
-@dataclass
-class MonofractalReport:
-    """Spread of H(m) across orders versus a tolerance."""
-
-    monofractal: bool
-    spread: float
-    hurst_min: float
-    hurst_max: float
-
-
-def classify_monofractal(curve: HurstCurve, tolerance: float) -> MonofractalReport:
-    """True iff max H(m) - min H(m) is within tolerance."""
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if len(curve.entries) < 2:
-        raise ValueError(
-            f"classification needs at least 2 fitted orders, got {len(curve.entries)}"
-        )
-    values = [fit.hurst() for fit in curve.entries.values()]
-    spread = max(values) - min(values)
-    return MonofractalReport(
-        monofractal=spread <= tolerance,
-        spread=spread,
-        hurst_min=min(values),
-        hurst_max=max(values),
-    )

@@ -83,16 +83,13 @@ class CascadeSpec:
     """Parameters of a conservative binary multiplicative cascade.
 
     Each dyadic interval splits its mass into fractions (W, 1-W) with
-    W ~ Beta(multiplier_param, multiplier_param). ``equal_split`` is the
-    degenerate infinite-shape limit: every split is exactly (1/2, 1/2),
-    and no random draws are consumed.
+    W ~ Beta(multiplier_param, multiplier_param).
     """
 
     depth: int
     multiplier_param: float = 2.0
     total_mass: float = 1.0
     seed: int = 0
-    equal_split: bool = False
 
     def __post_init__(self):
         check_depth(self.depth)
@@ -224,8 +221,6 @@ def generate_fgn(spec: FgnSpec) -> Trace:
 
 def _cascade_masses(spec: CascadeSpec) -> np.ndarray:
     masses = np.array([spec.total_mass])
-    if spec.equal_split:
-        return masses[0] * np.full(2**spec.depth, 0.5**spec.depth)
     # imported here, so that only drawing Beta multipliers loads scipy
     from scipy.special import betaincinv
 
@@ -266,9 +261,9 @@ def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     """Cascade-modulated composite: x(k) * sqrt(N * mu(k)).
 
     mu is the cascade measure normalized to unit total, so the expected
-    energy of the composite equals that of the underlying fGn. In the
-    equal-split limit mu(k) = 1/N and the composite reproduces the fGn
-    sample for sample.
+    energy of the composite equals that of the underlying fGn x. Equal
+    fgn and cascade seeds key both with one Philox stream: the cascade's
+    2**depth - 1 uniforms are then the first of the fGn's.
     """
     check_composite(fgn, cascade)
     base = generate_fgn(fgn)

@@ -95,11 +95,14 @@ def read_trace(path) -> Trace:
     if not os.path.exists(spath):
         warnings.warn(f"sidecar {spath} missing; trace loaded with empty metadata")
         return Trace(samples, {})
-    with open(spath, "r", encoding="ascii") as fh:
-        try:
+    try:
+        with open(spath, "r", encoding="ascii") as fh:
             sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{spath}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{spath}: non-ASCII byte 0x{exc.object[exc.start]:02x} "
+                               f"at offset {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{spath}: invalid JSON: {exc}") from exc
     if not isinstance(sidecar, dict):
         raise TraceFormatError(f"{spath}: expected a JSON object, got {_JSON_TYPE[type(sidecar)]}")
     version = sidecar.get("format")
@@ -139,15 +142,24 @@ def _read_samples(path):
     return rows["v"].copy()
 
 
+def _ascii_line(path, lineno, line: str) -> str:
+    """line, unless it holds a non-ASCII byte: a path:line: error naming it."""
+    if line.isascii():
+        return line
+    byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
+    raise TraceFormatError(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x}")
+
+
 def _parse_samples(path) -> np.ndarray:
     """The line parser: every row checked in order, errors cite path:line."""
     samples = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+    # a byte past ASCII reads as a lone surrogate, refused by _ascii_line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        header = _ascii_line(path, 1, fh.readline()).strip()
         if header != "index,value":
             raise TraceFormatError(f"{path}:1: expected header 'index,value', got {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = _ascii_line(path, lineno, line).strip()
             if not line:
                 continue
             fields = line.split(",")

@@ -88,6 +88,19 @@ class TestGenerate:
         assert trace.samples.size == 1024
         assert trace.samples.min() >= 0.0
 
+    def test_cascade_seed_seeds_cascade_model(self, tmp_path):
+        paths = {tag: tmp_path / f"{tag}.csv" for tag in ("given", "seed2", "default")}
+        cascade = ["generate", "--model", "cascade", "--depth", 10]
+        assert run(*cascade, "--seed", 1, "--cascade-seed", 2, "--out", paths["given"]) == 0
+        assert run(*cascade, "--seed", 2, "--out", paths["seed2"]) == 0
+        assert run(*cascade, "--seed", 1, "--out", paths["default"]) == 0
+        assert paths["given"].read_bytes() == paths["seed2"].read_bytes()
+        assert json.loads(Path(sidecar_path(paths["given"])).read_text())["seed"] == 2
+        # without --cascade-seed the cascade is seeded from --seed
+        expected = tmp_path / "expected.csv"
+        write_trace(synth.generate_cascade(synth.CascadeSpec(10, 2.0, 1.0, 1)), expected)
+        assert paths["default"].read_bytes() == expected.read_bytes()
+
     def test_multifractal_length_consistency(self, tmp_path, capsys):
         code, captured = run_expecting_exit(
             capsys, "generate", "--model", "multifractal", "--hurst", 0.7,
@@ -595,6 +608,22 @@ def test_sidecar_not_an_object_one_error_line(fgn_trace, tmp_path, capsys):
     assert run("hurst", trace) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"scalefit hurst: error: {sidecar_path(trace)}: expected a JSON object, got array"]
+
+
+@pytest.mark.parametrize("in_sidecar", [False, True], ids=["csv", "sidecar"])
+def test_non_ascii_byte_one_error_line(fgn_trace, tmp_path, capsys, in_sidecar):
+    trace = tmp_path / "t.csv"
+    spath = Path(sidecar_path(trace))
+    trace.write_bytes(fgn_trace.read_bytes())
+    spath.write_bytes(Path(sidecar_path(fgn_trace)).read_bytes())
+    damaged, named = (spath, f"{spath}: ") if in_sidecar else (trace, f"{trace}:4: ")
+    lines = damaged.read_bytes().split(b"\n")
+    lines[3] += b"\xc3\xa9"  # ends line 4
+    damaged.write_bytes(b"\n".join(lines))
+    assert run("hurst", trace) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"scalefit hurst: error: {named}non-ASCII byte 0xc3")
 
 
 # a long fGn whose leading samples are the contract test's fGn traces

@@ -7,7 +7,6 @@ from scalefit.scaling import (
     InsufficientScalesError,
     LocalityCurve,
     ScalingFit,
-    classify_monofractal,
     detect_knee,
     fit_loglog,
     hurst_spectrum,
@@ -228,25 +227,6 @@ class TestDetectKnee:
         )
 
 
-class TestClassifyMonofractal:
-    def test_constant_spectrum(self):
-        table = synthetic_table([2, 3, 4], 8, lambda m: 0.7)
-        report = classify_monofractal(hurst_spectrum(table), 0.1)
-        assert report.monofractal
-        assert report.spread == pytest.approx(0.0, abs=1e-9)
-
-    def test_varying_spectrum(self):
-        table = synthetic_table([2, 3, 4], 8, lambda m: 0.9 - 0.05 * m)
-        report = classify_monofractal(hurst_spectrum(table), 0.02)
-        assert not report.monofractal
-        assert report.spread == pytest.approx(0.1, abs=1e-9)
-
-    def test_too_few_orders(self):
-        table = synthetic_table([2], 8, lambda m: 0.7)
-        with pytest.raises(ValueError):
-            classify_monofractal(hurst_spectrum(table), 0.1)
-
-
 class TestCompositeMultifractality:
     @pytest.mark.filterwarnings("ignore:fit_loglog")
     def test_composite_hurst_varies_with_order(self):
@@ -257,7 +237,6 @@ class TestCompositeMultifractality:
         from scalefit.synth import CascadeSpec, FgnSpec, generate_multifractal
 
         diffs = []
-        spectra = []
         for seed in range(3):
             trace = generate_multifractal(
                 FgnSpec(0.7, 2**14, 1.0, seed), CascadeSpec(14, 2.0, 1.0, 500 + seed)
@@ -268,10 +247,7 @@ class TestCompositeMultifractality:
             spectrum = hurst_spectrum(table)
             assert 2 in spectrum.entries and 4 in spectrum.entries
             diffs.append(spectrum.hurst(2) - spectrum.hurst(4))
-            spectra.append(spectrum)
         assert np.mean(diffs) >= 0.03
-        report = classify_monofractal(spectra[0], 0.02)
-        assert not report.monofractal
 
 
 class TestScaleEquivariance:

@@ -211,10 +211,6 @@ class TestEmbeddingGuard:
 
 
 class TestGenerateCascade:
-    def test_equal_split_degenerate(self):
-        t = generate_cascade(CascadeSpec(2, 2.0, 1.0, 0, equal_split=True))
-        assert np.array_equal(t.samples, [0.25, 0.25, 0.25, 0.25])
-
     def test_conservation(self):
         t = generate_cascade(CascadeSpec(10, 2.0, 1.0, 3))
         assert abs(math.fsum(t.samples) - 1.0) <= 2.0**-40
@@ -254,12 +250,13 @@ class TestGenerateCascade:
 
 
 class TestGenerateMultifractal:
-    def test_equal_split_reduces_to_fgn(self):
+    def test_modulates_fgn_by_normalized_cascade(self):
+        # bit for bit: the fGn sample times sqrt(N * mu), mu = m / sum(m)
         fgn = FgnSpec(0.7, 2**10, 1.0, 1)
-        cascade = CascadeSpec(10, 2.0, 1.0, 2, equal_split=True)
-        composite = generate_multifractal(fgn, cascade)
-        base = generate_fgn(fgn)
-        assert np.array_equal(composite.samples, base.samples)
+        cascade = CascadeSpec(10, 2.0, 1.0, 2)
+        m = generate_cascade(cascade).samples
+        expected = generate_fgn(fgn).samples * np.sqrt(fgn.length * (m / math.fsum(m)))
+        assert generate_multifractal(fgn, cascade).samples.tobytes() == expected.tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -110,7 +110,7 @@ def _outcome(read, path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no sidecar
             samples = read(path)
-    except (TraceFormatError, UnicodeDecodeError) as exc:
+    except TraceFormatError as exc:
         return type(exc), str(exc)
     return getattr(samples, "samples", samples).tobytes()
 
@@ -144,6 +144,16 @@ class TestReadErrors:
         path.write_text("index,value\n1,1.5\n2,oops\n")
         with pytest.raises(TraceFormatError, match=r":3:"):
             read_trace(path)
+
+    def test_non_ascii_sidecar_byte_cites_sidecar(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([1.0, 2.0], model="f\u00e9"), path)
+        spath = Path(sidecar_path(path))
+        spath.write_bytes(spath.read_bytes().replace(b"f\\u00e9", b"f\xc3\xa9"))
+        offset = spath.read_bytes().index(b"\xc3")
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == f"{spath}: non-ASCII byte 0xc3 at offset {offset}"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
