@@ -8,9 +8,10 @@ carries every step's rounding error up the tree (the pairwise form of
 Sum2 in Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
 Sci. Comput. 2005). A sum is as accurate as if summed in twice the
 working precision and then rounded once, so totals are bit-stable and
-mass is preserved to within a couple of ulps. Level j+1 of the tree
-pairs adjacent sums of level j, so build_pyramid forms scale 2n from
-scale n's (sum, error) pair and equals aggregate(x, 2**k) bit for bit.
+mass is preserved to within a couple of ulps. build_pyramid is a
+prefix of row_sums' tree over the whole trace: scale 1 is a copy of the
+samples, scale 2n is formed from scale n's (sum, error) pair, and each
+power-of-two level equals aggregate(x, 2**k) bit for bit.
 check_sums_fit and check_squares_fit are the overflow rules of the raw
 sums and of the centred squares the package takes.
 """
@@ -126,14 +127,15 @@ def dyadic_scales(length: int) -> list:
 
 
 def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
-    """Aggregate a trace at every requested scale (default: dyadic).
+    """Aggregate a trace at each requested power-of-two scale (default: dyadic).
 
     Every scale must leave at least MIN_BLOCKS full blocks, and the
-    samples' sums must fit float64 (check_sums_fit). Scale 1, when
-    present, maps to the source samples themselves. Power-of-two scales
-    come from one pass up the pairwise tree, each level formed from the
-    one below (the same steps aggregate takes); other scales are summed
-    by aggregate.
+    samples' sums must fit float64 (check_sums_fit). Scale 1 is a copy
+    of the samples. The levels are a prefix of row_sums' own tree over
+    the whole trace: level 2n is _pair_sums on level n's (sum, error)
+    pair, an odd last column carried as row_sums carries it, and the
+    first x.size // n sums of a level are aggregate(x, n) bit for bit.
+    Any other block size is aggregate's alone.
     """
     x = _as_samples(trace_or_samples)
     check_sums_fit(x)
@@ -143,20 +145,18 @@ def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
     if not scales:
         raise ValueError("scales must be nonempty")
     for n in scales:
+        if n & (n - 1):
+            raise ValueError(f"scale {n} is not a power of two; aggregate takes any block size")
         if x.size // n < MIN_BLOCKS:
             raise ValueError(
                 f"scale {n} leaves {x.size // n} blocks of a length-{x.size} trace; "
                 f"at least {MIN_BLOCKS} are required"
             )
-    series = {n: aggregate(x, n) for n in scales if n == 1 or n & (n - 1)}
-    dyadic = [n for n in scales if n not in series]
-    # (sum, error) pair of every block of scale n; an odd last block is
-    # dropped before pairing, as aggregate drops the remainder
+    series = {1: x.copy()}
     total, error, n = x, None, 1
-    while dyadic and n < dyadic[-1]:
-        even = total.size - total.size % 2
-        total, error = _pair_sums(total[:even], None if error is None else error[:even])
+    while n < scales[-1]:
+        total, error = _pair_sums(total, error)
         n *= 2
-        if n in dyadic:
-            series[n] = total + error
-    return AggregatePyramid(scales=tuple(scales), series=series, source_length=x.size)
+        series[n] = (total + error)[: x.size // n]
+    return AggregatePyramid(scales=tuple(scales), series={n: series[n] for n in scales},
+                            source_length=x.size)

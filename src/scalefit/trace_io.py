@@ -101,7 +101,7 @@ def read_trace(path) -> Trace:
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{spath}: non-ASCII byte 0x{exc.object[exc.start]:02x} "
                                f"at offset {exc.start}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the limit
         raise TraceFormatError(f"{spath}: invalid JSON: {exc}") from exc
     if not isinstance(sidecar, dict):
         raise TraceFormatError(f"{spath}: expected a JSON object, got {_JSON_TYPE[type(sidecar)]}")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scalefit.aggregate import SUM_LIMIT, aggregate, build_pyramid, check_sums_fit, dyadic_scales
 from scalefit.synth import FgnSpec, generate_fgn
@@ -87,6 +87,15 @@ class TestBuildPyramid:
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         pyramid = build_pyramid(x, [1])
         assert np.array_equal(pyramid.series[1], x)
+        assert not np.shares_memory(pyramid.series[1], x)
+
+    @pytest.mark.parametrize("with_one", [False, True], ids=["alone", "with_1"])
+    @pytest.mark.parametrize("scale", [3, 6, 12])
+    def test_rejects_non_power_of_two_scales(self, scale, with_one):
+        """Only aggregate takes other block sizes; the pyramid refuses
+        them by name."""
+        with pytest.raises(ValueError, match=f"^scale {scale} is not a power of two"):
+            build_pyramid(np.zeros(4096), [1, scale] if with_one else [scale])
 
     def test_rejects_fewer_than_8_blocks(self):
         with pytest.raises(ValueError, match="8"):
@@ -167,9 +176,19 @@ class TestPairwiseSummation:
         used = x[: x.size // n * n]
         assert math.fsum(out) == pytest.approx(math.fsum(used), rel=1e-12, abs=1e-9)
         assert out.tobytes() == _fsum_blocks(x, n).tobytes()
-        mixed = build_pyramid(x, [1, 2, n, 8])
-        assert mixed.series[n].tobytes() == out.tobytes()
-        assert mixed.series[8].tobytes() == aggregate(x, 8).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(SUMMATION_INPUTS)), length=st.integers(8, 5000))
+    @example(name="cauchy", length=4097)
+    @example(name="fgn_offset_1e7", length=1365)
+    def test_pyramid_carries_odd_columns(self, name, length):
+        """Odd-width levels carry their last column up row_sums' tree; the
+        kept prefix of every level is aggregate's block sums bit for bit."""
+        x = SUMMATION_INPUTS[name][:length]
+        pyramid = build_pyramid(x)
+        assert pyramid.scales == tuple(dyadic_scales(length))
+        for n in pyramid.scales:
+            assert pyramid.series[n].tobytes() == aggregate(x, n).tobytes()
 
 
 class TestDyadicScales:

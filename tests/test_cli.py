@@ -626,6 +626,45 @@ def test_non_ascii_byte_one_error_line(fgn_trace, tmp_path, capsys, in_sidecar):
     assert err[0].startswith(f"scalefit hurst: error: {named}non-ASCII byte 0xc3")
 
 
+def test_deeply_nested_sidecar_one_error_line(fgn_trace, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(fgn_trace.read_bytes())
+    Path(sidecar_path(trace)).write_text("[" * 100_000 + "]" * 100_000)
+    assert run("hurst", trace) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"scalefit hurst: error: {sidecar_path(trace)}: invalid JSON: ")
+
+
+def _cut_rows(lines):
+    del lines[3:6]
+
+
+def _nan_text(lines):
+    lines[3] = b"3,nan"
+
+
+def _no_header(lines):
+    del lines[0]
+
+
+@pytest.mark.parametrize("damage, named", [
+    (_cut_rows, "{trace}:4: expected index 3, got 6"),
+    (_nan_text, "{trace}:4: non-finite sample 'nan'"),
+    (_no_header, "{trace}:1: expected header 'index,value', got '1,"),
+], ids=["cut_rows", "nan_text", "no_header"])
+def test_corrupt_csv_one_error_line(fgn_trace, tmp_path, capsys, damage, named):
+    trace = tmp_path / "t.csv"
+    Path(sidecar_path(trace)).write_bytes(Path(sidecar_path(fgn_trace)).read_bytes())
+    lines = fgn_trace.read_bytes().split(b"\n")
+    damage(lines)
+    trace.write_bytes(b"\n".join(lines))
+    assert run("hurst", trace) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"scalefit hurst: error: {named.format(trace=trace)}")
+
+
 # a long fGn whose leading samples are the contract test's fGn traces
 _FGN = generate_fgn(FgnSpec(0.8, 8192, 1.0, 11)).samples
 CONTRACT_ARGV = [

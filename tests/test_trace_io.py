@@ -1,11 +1,12 @@
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scalefit.cumulants import CumulantTable
 from scalefit.scaling import HurstCurve, LocalityCurve, ScalingFit
@@ -201,6 +202,16 @@ class TestReadErrors:
         assert str(excinfo.value) == \
             f"{sidecar_path(path)}: expected a JSON object, got {found}"
 
+    def test_deeply_nested_sidecar(self, tmp_path):
+        """JSON nested past the recursion limit is invalid JSON, not a
+        RecursionError that names no file."""
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([1.0, 2.0]), path)
+        Path(sidecar_path(path)).write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value).startswith(f"{sidecar_path(path)}: invalid JSON: ")
+
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace(make_trace([1.0, 2.0]), path)
@@ -214,6 +225,53 @@ class TestReadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_trace(tmp_path / "nope.csv")
+
+
+def _valid_files():
+    """A valid 64-sample trace's CSV and sidecar bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_trace(generate_fgn(FgnSpec(0.8, 64, 1.0, 3)), path)
+        return {"csv": path.read_bytes(), "sidecar": Path(sidecar_path(path)).read_bytes()}
+
+
+VALID_FILES = _valid_files()
+# (edit, bytes): overwrite replaces one byte, insert adds before byte k
+CORRUPTIONS = [
+    ("truncate", b""),
+    *(("overwrite", bytes([b])) for b in b"\0\xc3\r\n,#n"),
+    *(("insert", text) for text in (b"nan", b"inf", b"\r\n", b"\xff", b"[" * 50_000)),
+    ("delete", b""),
+]
+
+
+def _corrupt(data, edit, text, at, span):
+    k = at % (len(data) + (edit in ("truncate", "insert")))
+    return {"truncate": data[:k], "overwrite": data[:k] + text + data[k + 1:],
+            "insert": data[:k] + text + data[k:], "delete": data[:k] + data[k + span:]}[edit]
+
+
+class TestReadCorruptFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.sampled_from(sorted(VALID_FILES)), corruption=st.sampled_from(CORRUPTIONS),
+           at=st.integers(0, 10**6), span=st.integers(1, 8))
+    @example(target="sidecar", corruption=("insert", b"[" * 50_000), at=0, span=1)
+    def test_reads_or_names_the_file(self, target, corruption, at, span):
+        """One corruption of either file: read_trace returns a Trace or
+        raises a TraceFormatError whose message starts with the damaged
+        trace's CSV or sidecar path; nothing else escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            files = {"csv": path, "sidecar": Path(sidecar_path(path))}
+            for name, data in VALID_FILES.items():
+                files[name].write_bytes(_corrupt(data, *corruption, at, span)
+                                        if name == target else data)
+            try:
+                trace = read_trace(path)
+            except TraceFormatError as exc:
+                assert str(exc).startswith((f"{path}:", f"{files['sidecar']}:")), str(exc)
+            else:
+                assert isinstance(trace, Trace)
 
 
 class TestWriteCurve:
