@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import check_integer
+
 
 def _as_samples(trace_or_samples) -> np.ndarray:
     samples = getattr(trace_or_samples, "samples", trace_or_samples)
@@ -86,21 +88,18 @@ def check_squares_fit(centred: np.ndarray) -> float:
 
 
 def check_block_size(n, name: str = "block size") -> int:
-    """Block sizes and wavelet pyramid depths are positive integers."""
-    if not (n >= 1 and n % 1 == 0):
-        raise ValueError(f"{name} must be a positive integer, got {n}")
-    return int(n)
+    """Block sizes, pyramid scales and wavelet pyramid depths are positive integers."""
+    return check_integer(n, name, lambda k: k >= 1, "a positive integer")
 
 
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
     """Sum non-overlapping blocks of size n; remainder samples dropped.
     The samples' sums must fit float64 (check_sums_fit)."""
     x = _as_samples(trace_or_samples)
-    check_block_size(n)
+    n = check_block_size(n)
     if n > x.size:
         raise ValueError(f"block size {n} exceeds trace length {x.size}")
     check_sums_fit(x)
-    n = int(n)
     num_blocks = x.size // n
     if n == 1:
         return x[:num_blocks].copy()

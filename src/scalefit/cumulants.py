@@ -17,9 +17,8 @@ bitwise and leaves k2, k4, k6 bitwise unchanged. The centred sample is
 scaled by a power of two to unit magnitude first, so the power sums
 cannot overflow; the scaling is exact and is undone on the results.
 
-check_order owns the order range 1..MAX_ORDER, and is_numerical_zero
-the numerical-zero test of both estimators, made in log2 against a
-centred second moment so that it cannot overflow.
+check_order owns the order range 1..MAX_ORDER; a cell's numerical-zero
+test is scaling.is_numerical_zero, against k2.
 """
 from __future__ import annotations
 
@@ -29,34 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import check_squares_fit, row_sums
-from .scaling import ScalingDiagram
+from .rng import check_integer
+from .scaling import ScalingDiagram, _log2_abs, is_numerical_zero
 
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
 
 # A table cell is unusable for log-log regression when it is not
-# finite, numerically zero against k2, or, for orders other than 2 (a
-# variance is zero only on degenerate data), below NOISE_FLOOR_SIGMAS
-# times the i.i.d. Gaussian noise floor sd(k_m) ~ sqrt(m!/K) * k2^{m/2}.
-NUMERICAL_ZERO_REL = 1e-12
+# finite, numerically zero against k2 (scaling.is_numerical_zero), or,
+# for orders other than 2 (a variance is zero only on degenerate data),
+# below NOISE_FLOOR_SIGMAS times the i.i.d. Gaussian noise floor
+# sd(k_m) ~ sqrt(m!/K) * k2^{m/2}.
 NOISE_FLOOR_SIGMAS = 3.0
 
 
-def check_order(order, name: str = "max_order") -> None:
+def check_order(order, name: str = "max_order") -> int:
     """Cumulant orders run from 1 to MAX_ORDER."""
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"{name} must be in 1..{MAX_ORDER}, got {order}")
-
-
-def _log2_abs(value: float) -> float:
-    return math.log2(abs(value)) if value else -math.inf
-
-
-def is_numerical_zero(value: float, variance: float, order: int = 2) -> bool:
-    """The numerical-zero rule of both estimators: |value| <=
-    NUMERICAL_ZERO_REL * variance**(order/2), variance being a centred
-    second moment, compared in log2 so that it cannot overflow."""
-    return _log2_abs(value) <= math.log2(NUMERICAL_ZERO_REL) + order / 2.0 * _log2_abs(variance)
+    return check_integer(order, name, lambda m: 1 <= m <= MAX_ORDER, f"in 1..{MAX_ORDER}")
 
 
 def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -148,9 +136,10 @@ class CumulantTable:
     usable: dict
 
     def scaling_diagram(self, m: int) -> ScalingDiagram:
-        """log2|k_m| against log2 n, unweighted; H = slope / m."""
-        if m not in self.orders:
-            raise ValueError(f"order {m} not present in table (orders {self.orders})")
+        """log2|k_m| against log2 n, unweighted, with unusable cells NaN;
+        H = slope / m."""
+        m = check_integer(m, "order", lambda k: k in self.orders,
+                          f"one of the table's orders {self.orders}")
         values = np.abs([self.values[(m, n)] for n in self.scales])
         usable = np.array([self.usable[(m, n)] for n in self.scales], dtype=bool)
         return ScalingDiagram(
@@ -158,7 +147,6 @@ class CumulantTable:
             octaves=np.log2(np.array(self.scales, dtype=float)),
             log2_stat=np.log2(values, out=np.full(values.size, np.nan), where=usable),
             weights=None,
-            usable=usable,
             shift=0.0,
             divisor=float(m),
         )

@@ -14,12 +14,18 @@ import numpy as np
 SEED_MAX = 2**64 - 1
 
 
+def check_integer(value, name: str, ok, must_be: str) -> int:
+    """The package's one integer rule, which every count it takes passes:
+    value is an int or a numpy integer, never a bool or a float, and the
+    owner's predicate ok holds of it as a Python int. Returns that int;
+    anything else is a ValueError "<name> must be <must_be>, got <value>"."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and ok(int(value)):
+        return int(value)
+    raise ValueError(f"{name} must be {must_be}, got {value}")
+
+
 def check_seed(seed, name: str = "seed") -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"{name} must be an integer, got {seed!r}")
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+    return check_integer(seed, name, lambda s: 0 <= s <= SEED_MAX, "an unsigned 64-bit integer")
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -34,11 +40,8 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     pair yields (r cos, r sin) in that order. An odd ``count`` consumes
     a full final pair and discards the second variate.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = check_integer(count, "count", lambda c: c >= 0, "a nonnegative integer")
     pairs = (count + 1) // 2
-    if pairs == 0:
-        return np.empty(0)
     u = rng.random(2 * pairs)
     u1 = 1.0 - u[0::2]  # in (0, 1]: keeps log() finite
     u2 = u[1::2]

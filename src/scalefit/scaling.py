@@ -1,30 +1,35 @@
 """Power-law scaling fits and scale-dependent Hurst estimation.
 
 Both estimators fit the same object, a ScalingDiagram: per octave, the
-log2 of a scale statistic, an optional regression weight, a usable
-flag, and a linear map from slope to Hurst exponent. The order-m
-cumulant of an aggregated self-similar series grows as a power of the
-block size, so log2|k_m| against log2 n has slope m*H(m); the wavelet
-logscale diagram (Abry & Veitch 1998) has slope 2H - 1. A constant H(m)
-across orders indicates a monofractal (strictly self-similar) series;
-variation with m indicates multifractality. Sliding the fit window
-across octaves produces a locality curve; a change of slope in such a
-curve (the knee) marks the scale where the estimate becomes
-regime-dependent.
+log2 of a scale statistic (NaN where the statistic is numerically or
+statistically zero), an optional regression weight, and a linear map
+from slope to Hurst exponent. The order-m cumulant of an aggregated
+self-similar series grows as a power of the block size, so log2|k_m|
+against log2 n has slope m*H(m); the wavelet logscale diagram (Abry &
+Veitch 1998) has slope 2H - 1. A constant H(m) across orders indicates
+a monofractal (strictly self-similar) series; variation with m
+indicates multifractality. Sliding the fit window across octaves
+produces a locality curve; a change of slope in such a curve (the knee)
+marks the scale where the estimate becomes regime-dependent.
 
 A line fit of a diagram is one record, ScalingFit (slope, intercept,
 r^2, points used, octave window and H), and every estimate keeps it as
 ScalingDiagram.fit returns it: fit_loglog returns it, hurst_spectrum
 keeps one per fitted order and wavelet_hurst reads its H. A slide,
 ScalingDiagram.locality, returns the LocalityCurve itself.
+is_numerical_zero is the numerical-zero rule of both estimators and of
+the knee test.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .rng import check_integer
 
 
 class InsufficientScalesError(ValueError):
@@ -37,19 +42,31 @@ MIN_FIT_POINTS = 3
 DEFAULT_WINDOW_WIDTH = 4
 # share of the single-line SSE a knee must remove to be significant
 DEFAULT_KNEE_THRESHOLD = 0.2
+# relative size below which a statistic is numerically zero
+NUMERICAL_ZERO_REL = 1e-12
 
 
-def check_window_width(window_width: int, name: str = "window_width") -> None:
+def check_window_width(window_width: int, name: str = "window_width") -> int:
     """A locality window spans at least MIN_FIT_POINTS octaves."""
-    if window_width < MIN_FIT_POINTS:
-        raise ValueError(f"{name} must be at least {MIN_FIT_POINTS} octaves, "
-                         f"got {window_width}")
+    return check_integer(window_width, name, lambda w: w >= MIN_FIT_POINTS,
+                         f"at least {MIN_FIT_POINTS} octaves")
 
 
 def check_finite(value, name: str) -> None:
     """Fit-window octaves and knee thresholds are finite."""
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _log2_abs(value: float) -> float:
+    return math.log2(abs(value)) if value else -math.inf
+
+
+def is_numerical_zero(value: float, variance: float, order: int = 2) -> bool:
+    """The numerical-zero rule of both estimators: |value| <=
+    NUMERICAL_ZERO_REL * variance**(order/2), variance being a second
+    moment, compared in log2 so that it cannot overflow."""
+    return _log2_abs(value) <= math.log2(NUMERICAL_ZERO_REL) + order / 2.0 * _log2_abs(variance)
 
 
 def _ols(x: np.ndarray, y: np.ndarray, w=None):
@@ -160,8 +177,9 @@ def check_knee_threshold(threshold: float, name: str = "threshold") -> None:
 class ScalingDiagram:
     """log2 of a scale statistic against octave, ready for line fits.
 
-    octaves ascend strictly (both builders list them so). weights is None for ordinary least squares. Points whose usable flag
-    is False (a statistic that is numerically or statistically zero)
+    octaves ascend strictly (both builders list them so). weights is
+    None for ordinary least squares. log2_stat is NaN where the
+    statistic is numerically or statistically zero, and those points
     never enter a fit. H = (slope + shift) / divisor. label names the
     statistic in error messages.
     """
@@ -170,7 +188,6 @@ class ScalingDiagram:
     octaves: np.ndarray
     log2_stat: np.ndarray
     weights: np.ndarray | None
-    usable: np.ndarray
     shift: float
     divisor: float
 
@@ -178,12 +195,13 @@ class ScalingDiagram:
         return (slope + self.shift) / self.divisor
 
     def fit(self, window=None) -> ScalingFit:
-        """Fit over the usable points of an inclusive octave window
+        """Fit over the non-NaN points of an inclusive octave window
         (j_lo, j_hi); None spans every octave. Needs MIN_FIT_POINTS points."""
         if window is None:
             window = (self.octaves.min(), self.octaves.max())
         j_lo, j_hi = float(window[0]), float(window[1])
-        keep = self.usable & (self.octaves >= j_lo - 1e-12) & (self.octaves <= j_hi + 1e-12)
+        keep = (~np.isnan(self.log2_stat) & (self.octaves >= j_lo - 1e-12)
+                & (self.octaves <= j_hi + 1e-12))
         used = int(keep.sum())
         if used < MIN_FIT_POINTS:
             raise InsufficientScalesError(
@@ -264,7 +282,9 @@ def detect_knee(curve_or_xy) -> KneePoint:
     Every admissible breakpoint (at a data point, shared by both
     segments, with at least MIN_FIT_POINTS points per side) is tried; the split
     minimizing total SSE wins. sse_reduction is measured against the
-    single-line fit and is always >= 0.
+    single-line fit and is always >= 0. A single-line SSE that is
+    numerically zero against sum y^2 (is_numerical_zero) counts as 0: a
+    curve flat to rounding has no knee to find, and its fraction is 0.
     """
     if isinstance(curve_or_xy, LocalityCurve):
         x = curve_or_xy.centers()
@@ -278,6 +298,8 @@ def detect_knee(curve_or_xy) -> KneePoint:
     if x.size < MIN_KNEE_POINTS:
         raise ValueError(f"knee detection needs at least {MIN_KNEE_POINTS} points, got {x.size}")
     _, _, _, single_sse = _ols(x, y)
+    if is_numerical_zero(single_sse, float(np.sum(y * y))):
+        single_sse = 0.0
     best = None
     for i in range(MIN_FIT_POINTS - 1, x.size - MIN_FIT_POINTS + 1):
         ls, _, _, lsse = _ols(x[: i + 1], y[: i + 1])

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .rng import check_seed, make_rng, standard_normals
+from .rng import check_integer, check_seed, make_rng, standard_normals
 
 FIXED_CLOCK_ENV = "SCALEFIT_FIXED_CLOCK"
 FIXED_CLOCK_VALUE = "1970-01-01T00:00:00Z"
@@ -47,14 +47,13 @@ def check_hurst(hurst, name: str = "hurst") -> None:
         raise ValueError(f"{name} must be in the open interval (0, 1), got {hurst}")
 
 
-def check_fgn_length(length, name: str = "length") -> None:
-    if length < 16 or length & (length - 1):
-        raise ValueError(f"{name} must be a power of two >= 16, got {length}")
+def check_fgn_length(length, name: str = "length") -> int:
+    return check_integer(length, name, lambda n: n >= 16 and not n & (n - 1),
+                         "a power of two >= 16")
 
 
-def check_depth(depth, name: str = "depth") -> None:
-    if not isinstance(depth, (int, np.integer)) or depth < 2:
-        raise ValueError(f"{name} must be an integer >= 2, got {depth}")
+def check_depth(depth, name: str = "depth") -> int:
+    return check_integer(depth, name, lambda d: d >= 2, "an integer >= 2")
 
 
 def check_positive(value, name: str) -> None:
@@ -140,9 +139,8 @@ def fgn_autocovariance(hurst: float, variance: float, lag: int) -> float:
     """
     check_hurst(hurst)
     check_positive(variance, "variance")
-    if isinstance(lag, bool) or not (math.isfinite(lag) and lag >= 0 and int(lag) == lag):
-        raise ValueError(f"lag must be a nonnegative integer, got {lag}")
-    return float(_fgn_gamma(hurst, variance, int(lag), int(lag))[0])
+    lag = check_integer(lag, "lag", lambda k: k >= 0, "a nonnegative integer")
+    return float(_fgn_gamma(hurst, variance, lag, lag)[0])
 
 
 def _fgn_gamma(hurst: float, variance: float, first: int, last: int) -> np.ndarray:

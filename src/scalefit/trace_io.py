@@ -110,7 +110,8 @@ def read_trace(path) -> Trace:
         raise TraceFormatError(f"{spath}: unknown format version {version!r} "
                                f"(expected {FORMAT_VERSION!r})")
     declared = sidecar.get("length")
-    if declared != len(samples):
+    # True and 1.0 equal 1: only a JSON integer declares a length
+    if type(declared) is not int or declared != len(samples):
         raise TraceFormatError(f"{spath}: declared length {declared!r} does not match "
                                f"{len(samples)} samples in {path}")
     return Trace(samples, trace_meta(*map(sidecar.get, META_FIELDS)))

@@ -6,9 +6,9 @@ per octave against the octave; for a stationary long-range dependent
 series its slope alpha relates to the Hurst exponent by H = (alpha+1)/2.
 Octave energies are chi-square-like averages of n_j coefficients, so
 the regression is weighted by the coefficient counts. Energies follow
-the cumulant table's numerical-zero rule, against the centred mean
-square. The diagram is fitted and slid as a scaling.ScalingDiagram, the
-same object the cumulant estimator fits.
+the cumulant table's numerical-zero rule (scaling.is_numerical_zero),
+against the centred mean square. The diagram is fitted and slid as a
+scaling.ScalingDiagram, the same object the cumulant estimator fits.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import numpy as np
 
 from .aggregate import (_as_samples, check_block_size, check_squares_fit, check_sums_fit,
                         dyadic_scales)
-from .cumulants import is_numerical_zero
-from .scaling import DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit
+from .scaling import (DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit,
+                      is_numerical_zero)
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -87,15 +87,13 @@ class LogscaleDiagram:
 
     def scaling_diagram(self) -> ScalingDiagram:
         """log2 energy against octave, weighted by coefficient counts, with
-        zero-energy octaves unusable; H = (slope + 1) / 2."""
+        zero-energy octaves NaN; H = (slope + 1) / 2."""
         energy = np.array([self.energy[j] for j in self.octaves], dtype=float)
-        usable = energy > 0.0
         return ScalingDiagram(
             label="detail energy",
             octaves=np.array(self.octaves, dtype=float),
-            log2_stat=np.log2(energy, out=np.full(energy.size, np.nan), where=usable),
+            log2_stat=np.log2(energy, out=np.full(energy.size, np.nan), where=energy > 0.0),
             weights=np.array([self.counts[j] for j in self.octaves], dtype=float),
-            usable=usable,
             shift=1.0,
             divisor=2.0,
         )
@@ -143,7 +141,7 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     first: the wavelets' vanishing moment makes the diagram blind to the
     mean, but the filter taps sum to zero only to round-off, so an offset
     would leak into every octave. Energies that are numerically zero
-    (cumulants.is_numerical_zero) against the centred mean square are
+    (scaling.is_numerical_zero) against the centred mean square are
     set to exactly 0 and never fitted.
     """
     samples = _as_samples(trace_or_samples)

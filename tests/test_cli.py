@@ -46,6 +46,14 @@ def fgn_trace(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def order1_trace(tmp_path_factory):
+    """fGn whose order-1 locality curve has a knee to test: 6 windows or more."""
+    path = tmp_path_factory.mktemp("traces") / "fgn08.csv"
+    write_trace(generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def overflow_trace(tmp_path_factory):
     """Finite samples whose sum (about 4e309) passes float64's range."""
     path = tmp_path_factory.mktemp("traces") / "overflow.csv"
@@ -183,7 +191,7 @@ def test_invalid_flag_exit_2(fgn_trace, tmp_path, capsys, argv, named):
     (synth.check_depth, 1, "must be an integer >= 2, got 1"),
     (synth.check_positive, float("inf"), "must be finite and positive, got inf"),
     (rng.check_seed, -1, "must be an unsigned 64-bit integer, got -1"),
-    (rng.check_seed, 1.5, "must be an integer, got 1.5"),
+    (rng.check_seed, 1.5, "must be an unsigned 64-bit integer, got 1.5"),
     (check_block_size, 0, "must be a positive integer, got 0"),
     (cumulants.check_order, 7, "must be in 1..6, got 7"),
     (scaling.check_window_width, 2, "must be at least 3 octaves, got 2"),
@@ -339,6 +347,13 @@ class TestLocality:
     def test_wavelet_method(self, fgn_trace, capsys):
         assert run("locality", fgn_trace, "--method", "wavelet") == 0
         assert "knee octave" in capsys.readouterr().out
+
+    def test_order_1_curve_has_no_significant_knee(self, order1_trace, capsys):
+        """H(1) is 1 by construction, so its curve is flat to rounding."""
+        assert run("locality", order1_trace, "--order", 1) == 0
+        report = capsys.readouterr().out
+        assert "(0.0% of single-line SSE)" in report
+        assert "no significant knee" in report
 
     def test_short_curve_no_knee_line(self, tmp_path, capsys):
         """A curve too short for detect_knee is still written: locality
@@ -519,6 +534,12 @@ class TestReport:
         fgn = generate_fgn(FgnSpec(0.8, 4096, 1.0, 3))
         write_trace(Trace(1e60 * fgn.samples), trace)
         assert run("report", trace, "--outdir", tmp_path / "rep", "--max-order", 6) == 0
+
+    def test_order_1_knee_not_significant(self, order1_trace, tmp_path):
+        outdir = tmp_path / "rep"
+        assert run("report", order1_trace, "--order", 1, "--outdir", outdir) == 0
+        rows = [row.split(",") for row in (outdir / "knees.csv").read_text().splitlines()[1:]]
+        assert rows[0][0] == "cumulant" and rows[0][-1] == "false"
 
     @pytest.mark.parametrize("threshold", [0.2, 0.995])
     def test_knees_significant_is_knee_rule(self, fgn_trace, tmp_path, threshold):

@@ -188,6 +188,16 @@ class TestDetectKnee:
         assert knee.fraction == 0.0
         assert not any(knee.significant(t) for t in (1e-12, 0.2, 1.0))
 
+    def test_curve_flat_to_rounding_has_no_knee(self):
+        """H(1) is 1 by construction: a curve of 1 +- 2 ulp leaves a
+        single-line SSE that is numerically zero, so nothing is removed."""
+        ulps = np.array([0, 1, -1, 2, 0, -2, 1, 1, -1, 0, 2, -1])
+        y = 1.0 + ulps * np.spacing(1.0)
+        knee = detect_knee((np.arange(12.0), y))
+        assert knee.fraction == 0.0
+        assert knee.sse_reduction == 0.0
+        assert not knee.significant(0.2)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             detect_knee((np.arange(5.0), np.arange(5.0)))

@@ -63,7 +63,7 @@ class TestFgnAutocovariance:
 
     def test_rejects_negative_lag(self):
         # and every other lag that is not a nonnegative integer, bool included
-        for lag in (-1, 1.5, math.inf, -math.inf, math.nan, True, False):
+        for lag in (-1, 1.5, 2.0, math.inf, -math.inf, math.nan, True, False):
             with pytest.raises(ValueError, match="lag must be a nonnegative integer"):
                 fgn_autocovariance(0.7, 1.0, lag)
 

@@ -190,6 +190,19 @@ class TestReadErrors:
         with pytest.raises(TraceFormatError, match="declared length '2' does not match 2"):
             read_trace(path)
 
+    @pytest.mark.parametrize("declared", [True, 1.0])
+    def test_length_must_be_json_integer(self, tmp_path, declared):
+        """true and 1.0 equal 1 in Python, but declare no length."""
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([1.0]), path)
+        meta = json.loads(Path(sidecar_path(path)).read_text())
+        meta["length"] = declared
+        Path(sidecar_path(path)).write_text(json.dumps(meta))
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == (f"{sidecar_path(path)}: declared length {declared!r} "
+                                      f"does not match 1 samples in {path}")
+
     @pytest.mark.parametrize("content, found", [
         ("[]", "array"), ('"x"', "string"), ("5", "number"), ("null", "null"),
         ("true", "boolean")])
