@@ -1,19 +1,30 @@
 """Block aggregation of increment traces over non-overlapping windows.
 
 aggregate(x, n)[k] sums block k of n consecutive samples; trailing
-samples that do not fill a block are dropped. One summation rule,
-row_sums, serves both the block sums here and the k-statistic power
-sums in cumulants: a pairwise tree of error-free TwoSum steps that
-carries every step's rounding error up the tree (the pairwise form of
-Sum2 in Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
-Sci. Comput. 2005). A sum is as accurate as if summed in twice the
-working precision and then rounded once, so totals are bit-stable and
-mass is preserved to within a couple of ulps. build_pyramid is a
-prefix of row_sums' tree over the whole trace: scale 1 is a copy of the
-samples, scale 2n is formed from scale n's (sum, error) pair, and each
-power-of-two level equals aggregate(x, 2**k) bit for bit.
-check_sums_fit and check_squares_fit are the overflow rules of the raw
-sums and of the centred squares the package takes.
+samples that do not fill a block are dropped. One summation rule serves
+both the block sums here and the k-statistic power sums in cumulants: a
+pairwise tree of error-free TwoSum steps that carries every step's
+rounding error up the tree (the pairwise form of Sum2 in Ogita, Rump &
+Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 2005). A
+sum is as accurate as if summed in twice the working precision and then
+rounded once, so totals are bit-stable and mass is preserved to within
+a couple of ulps.
+
+The tree is climbed once for many rows (climb): each row is zero-padded
+to a power-of-two slot, the slots lie widest first in one flat buffer,
+and each level is one _pair_sums call over every live slot. A slot that
+is down to one column drops off the end of the live prefix. TwoSum
+against a zero pad returns the operand and a zero error exactly, so a
+padded slot sums exactly as the unpadded row's tree, whose odd last
+column is carried up a level unchanged. row_sums climbs one slot along
+a leading axis of rows; the cumulant table climbs one slot per pyramid
+level.
+
+build_pyramid is a prefix of the same tree over the whole trace: scale
+1 is a copy of the samples, scale 2n is formed from scale n's (sum,
+error) pair, and each power-of-two level equals aggregate(x, 2**k) bit
+for bit. check_sums_fit and check_squares_fit are the overflow rules of
+the raw sums and of the centred squares the package takes.
 """
 from __future__ import annotations
 
@@ -51,13 +62,65 @@ def _pair_sums(total: np.ndarray, error: np.ndarray | None):
     return s, rounding
 
 
+def slot_width(width: int) -> int:
+    """The slot a row of width samples climbs in: the next power of two,
+    at least 2, so that every slot takes at least one tree level."""
+    return max(2, 1 << (width - 1).bit_length())
+
+
+def pack_slots(rows) -> tuple:
+    """(buffer, slots): 1-D rows, widest first, each zero-padded to its
+    slot_width and laid end to end in one flat buffer, as climb takes them."""
+    slots = [slot_width(row.size) for row in rows]
+    buffer = np.zeros(sum(slots))
+    offset = 0
+    for row, slot in zip(rows, slots):
+        buffer[offset:offset + row.size] = row
+        offset += slot
+    return buffer, slots
+
+
+def climb(buffer: np.ndarray, slots) -> np.ndarray:
+    """Sums of the slots that tile buffer's last axis, by the pairwise tree.
+
+    slots are the slot widths, powers of two of at least 2, widest first,
+    so every slot starts at a multiple of its own width and no pair
+    crosses two slots. Each level is one _pair_sums call over the live
+    slots; the slots that a level brings down to one column are the last
+    live ones and leave the climb with their sum + error. Returns the
+    sums, one per slot, over buffer's leading axes.
+    """
+    if any(slot < 2 or slot & (slot - 1) or slot > wider
+           for wider, slot in zip([*slots[:1], *slots], slots)):
+        raise ValueError(f"slots must be powers of two of at least 2, widest first, got {slots}")
+    sums = np.empty(buffer.shape[:-1] + (len(slots),))
+    total, error = _pair_sums(buffer, None)
+    live, width = len(slots), 2
+    while live:
+        done = live
+        while done and slots[done - 1] == width:
+            done -= 1
+        if done < live:
+            sums[..., done:live] = total[..., done - live:] + error[..., done - live:]
+            total, error = total[..., :done - live], error[..., :done - live]
+            live = done
+        if live:
+            total, error = _pair_sums(total, error)
+            width *= 2
+    return sums
+
+
 def row_sums(rows: np.ndarray) -> np.ndarray:
-    """Row sums of a (num_rows, width) array, width >= 1, by the pairwise
-    tree: aggregate's block sums and cumulants' k-statistic power sums."""
-    total, error = _pair_sums(rows, None)
-    while total.shape[-1] > 1:
-        total, error = _pair_sums(total, error)
-    return (total + error)[:, 0]
+    """Row sums of a (num_rows, width) array, width >= 1: one climb of
+    one slot along a leading axis of rows (aggregate's block sums,
+    empirical_cgf's sum)."""
+    num_rows, width = rows.shape
+    slot = slot_width(width)
+    if slot != width:
+        padded = np.zeros((num_rows, slot))
+        padded[:, :width] = rows
+        rows = padded
+    return climb(rows, [slot])[:, 0]
 
 
 # float64's largest value over 16: headroom for the steps that follow a
@@ -122,7 +185,8 @@ class AggregatePyramid:
 def dyadic_scales(length: int) -> list:
     """Default scale set: 2**0 up to the coarsest power of two that still
     leaves MIN_BLOCKS blocks (2**0 alone for a shorter trace)."""
-    return [2**e for e in range(max((int(length) // MIN_BLOCKS).bit_length(), 1))]
+    length = check_integer(length, "length", lambda n: n >= 0, "a nonnegative integer")
+    return [2**e for e in range(max((length // MIN_BLOCKS).bit_length(), 1))]
 
 
 def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
@@ -130,10 +194,11 @@ def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
 
     Every scale must leave at least MIN_BLOCKS full blocks, and the
     samples' sums must fit float64 (check_sums_fit). Scale 1 is a copy
-    of the samples. The levels are a prefix of row_sums' own tree over
+    of the samples. The levels are a prefix of the summation tree over
     the whole trace: level 2n is _pair_sums on level n's (sum, error)
-    pair, an odd last column carried as row_sums carries it, and the
-    first x.size // n sums of a level are aggregate(x, n) bit for bit.
+    pair, an odd last column carried up unchanged (as a zero pad in
+    climb would leave it), and the first x.size // n sums of a level are
+    aggregate(x, n) bit for bit.
     Any other block size is aggregate's alone.
     """
     x = _as_samples(trace_or_samples)

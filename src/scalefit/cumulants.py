@@ -7,15 +7,23 @@ because coarse aggregation scales leave very few blocks. Orders are
 capped at 6 because the estimator variance grows factorially with the
 order.
 
-The mean and the central power sums are summed by aggregate.row_sums,
-the package's one compensated rule (a pairwise TwoSum tree, as accurate
-as summing in twice the working precision and rounding once), every
-order of a sample in one call. Pre-centering by the sample mean
-controls cancellation. Round-to-nearest is odd-symmetric, so the tree
-makes negation parity exact: negating the input negates k1, k3, k5
-bitwise and leaves k2, k4, k6 bitwise unchanged. The centred sample is
-scaled by a power of two to unit magnitude first, so the power sums
-cannot overflow; the scaling is exact and is undone on the results.
+The mean and the central power sums are summed by aggregate.climb, the
+package's one compensated rule (a pairwise TwoSum tree, as accurate as
+summing in twice the working precision and rounding once). Every
+pyramid level of a table is zero-padded into one power-of-two slot of
+one flat buffer, widest first (aggregate.pack_slots), and the buffer is
+climbed once for the means and then once per power order: at most
+max_order x log2 N tree levels per table, 48 at 2^12 for order 4,
+where a climb per level took 150. TwoSum against a zero pad is exact,
+so each level's sums are those of its own tree bit for bit.
+sample_cumulants is the one-level case of the same path.
+
+Pre-centering by each level's mean controls cancellation.
+Round-to-nearest is odd-symmetric, so the tree makes negation parity
+exact: negating the input negates k1, k3, k5 bitwise and leaves k2, k4,
+k6 bitwise unchanged. Each centred level is scaled by a power of two to
+unit magnitude first, so the power sums cannot overflow; the scaling is
+exact and is undone on the results.
 
 check_order owns the order range 1..MAX_ORDER; a cell's numerical-zero
 test is scaling.is_numerical_zero, against k2.
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import check_squares_fit, row_sums
+from .aggregate import check_squares_fit, climb, pack_slots, row_sums
 from .rng import check_integer
 from .scaling import ScalingDiagram, _log2_abs, is_numerical_zero
 
@@ -47,43 +55,20 @@ def check_order(order, name: str = "max_order") -> int:
     return check_integer(order, name, lambda m: 1 <= m <= MAX_ORDER, f"in 1..{MAX_ORDER}")
 
 
-def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Unbiased k-statistics k_1 .. k_max_order of a sample."""
-    check_order(max_order)
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    n = x.size
-    # k_m is defined for n >= m (all unbiasing denominators nonzero)
-    if n < max_order:
-        raise ValueError(f"series of length {n} is too short for order {max_order}")
-    mean = float(row_sums(x[None, :])[0]) / n
-    out = np.empty(max_order)
-    out[0] = mean
-    if max_order == 1:
-        return out
-    d = x - mean
-    _, exponent = np.frexp(np.abs(d).max())
-    d = np.ldexp(d, -exponent)
-    # rows d**2 .. d**max_order by an explicit multiplication chain: exactly
-    # rounded per step and odd-symmetric under negation, unlike libm pow
-    powers = np.empty((max_order - 1, n))
-    powers[0] = d * d
-    for row in range(1, max_order - 1):
-        np.multiply(powers[row - 1], d, out=powers[row])
-    s = dict(enumerate(row_sums(powers).tolist(), start=2))
+def _k_statistics(s: dict, n: int, max_order: int) -> list:
+    """k_2 .. k_max_order of a sample of n from its central power sums s[r]."""
     nn = float(n)
-    out[1] = s[2] / (nn - 1)
+    out = [s[2] / (nn - 1)]
     if max_order >= 3:
-        out[2] = nn * s[3] / ((nn - 1) * (nn - 2))
+        out.append(nn * s[3] / ((nn - 1) * (nn - 2)))
     if max_order >= 4:
-        out[3] = (nn * (nn + 1) * s[4] - 3 * (nn - 1) * s[2] ** 2) / (
+        out.append((nn * (nn + 1) * s[4] - 3 * (nn - 1) * s[2] ** 2) / (
             (nn - 1) * (nn - 2) * (nn - 3)
-        )
+        ))
     if max_order >= 5:
-        out[4] = (nn**2 * (nn + 5) * s[5] - 10 * nn * (nn - 1) * s[2] * s[3]) / (
+        out.append((nn**2 * (nn + 5) * s[5] - 10 * nn * (nn - 1) * s[2] * s[3]) / (
             (nn - 1) * (nn - 2) * (nn - 3) * (nn - 4)
-        )
+        ))
     if max_order >= 6:
         num = (
             nn * (nn + 1) * (nn * nn + 15 * nn - 4) * s[6]
@@ -91,12 +76,58 @@ def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
             - 10 * (nn - 1) * (nn * nn - nn + 4) * s[3] ** 2
             + 30 * (nn - 1) * (nn - 2) * s[2] ** 3
         )
-        out[5] = num / ((nn - 1) * (nn - 2) * (nn - 3) * (nn - 4) * (nn - 5))
+        out.append(num / ((nn - 1) * (nn - 2) * (nn - 3) * (nn - 4) * (nn - 5)))
+    return out
+
+
+def _slot_cumulants(samples: list, max_order: int) -> np.ndarray:
+    """k_1 .. k_max_order of each 1-D sample (widest first), one row each.
+
+    The samples share one slot buffer (aggregate.pack_slots), climbed
+    once for the means and then once per power order: the buffer is
+    centred and scaled in place, and one power buffer is rewritten
+    with d**p by the multiplication chain before each climb.
+    """
+    sizes = [x.size for x in samples]
+    # k_m is defined for n >= m (all unbiasing denominators nonzero)
+    for n in sizes:
+        if n < max_order:
+            raise ValueError(f"series of length {n} is too short for order {max_order}")
+    d, slots = pack_slots(samples)
+    out = np.empty((len(samples), max_order))
+    out[:, 0] = climb(d, slots) / sizes
+    if max_order == 1:
+        return out
+    offsets = np.cumsum([0, *slots[:-1]])
+    for offset, n, mean in zip(offsets.tolist(), sizes, out[:, 0]):
+        d[offset:offset + n] -= mean
+    # pads stay 0: they neither raise a maximum nor add to a power sum
+    _, exponents = np.frexp(np.maximum.reduceat(np.abs(d), offsets))
+    np.ldexp(d, np.repeat(-exponents, slots), out=d)
+    # powers d**2 .. d**max_order by an explicit multiplication chain: exactly
+    # rounded per step and odd-symmetric under negation, unlike libm pow
+    power = d * d
+    sums = [climb(power, slots)]
+    for _ in range(3, max_order + 1):
+        np.multiply(power, d, out=power)
+        sums.append(climb(power, slots))
+    for row, (n, s) in enumerate(zip(sizes, np.array(sums).T.tolist())):
+        out[row, 1:] = _k_statistics(dict(enumerate(s, start=2)), n, max_order)
     # a cumulant beyond the float range scales back to inf, which is the
     # intended value: cumulant_scaling_table marks it unusable
     with np.errstate(over="ignore"):
-        out[1:] = np.ldexp(out[1:], exponent * np.arange(2, max_order + 1))
+        out[:, 1:] = np.ldexp(out[:, 1:], exponents[:, None] * np.arange(2, max_order + 1))
     return out
+
+
+def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Unbiased k-statistics k_1 .. k_max_order of a sample: the one-slot
+    case of cumulant_scaling_table's climb."""
+    check_order(max_order)
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    return _slot_cumulants([x], max_order)[0]
 
 
 CGF_EXPONENT_LIMIT = 700.0
@@ -167,15 +198,13 @@ def cumulant_scaling_table(pyramid, max_order: int = DEFAULT_ORDER) -> CumulantT
     check_squares_fit(finest - finest.mean())
     values = {}
     usable = {}
-    block_counts = {}
-    for n in pyramid.scales:
-        series = pyramid.series[n]
-        # order 2 always computed: it sets the usability reference scale
-        ks = sample_cumulants(series, max(max_order, 2))
-        block_counts[n] = series.size
+    block_counts = {n: pyramid.series[n].size for n in pyramid.scales}
+    # order 2 always computed: it sets the usability reference scale
+    table = _slot_cumulants([pyramid.series[n] for n in pyramid.scales], max(max_order, 2))
+    for n, ks in zip(pyramid.scales, table):
         for m in range(1, max_order + 1):
             values[(m, n)] = float(ks[m - 1])
-            usable[(m, n)] = _cell_usable(m, ks[m - 1], ks[1], series.size)
+            usable[(m, n)] = _cell_usable(m, ks[m - 1], ks[1], block_counts[n])
     return CumulantTable(
         orders=tuple(range(1, max_order + 1)),
         scales=tuple(pyramid.scales),

@@ -73,17 +73,22 @@ def _ols(x: np.ndarray, y: np.ndarray, w=None):
     """(Weighted) least squares line fit: slope, intercept, r^2, sse."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(x) if w is None else np.asarray(w, dtype=float)
-    wsum = w.sum()
-    xm = (w * x).sum() / wsum
-    ym = (w * y).sum() / wsum
-    sxx = (w * (x - xm) ** 2).sum()
-    sxy = (w * (x - xm) * (y - ym)).sum()
+    w = None if w is None else np.asarray(w, dtype=float)
+
+    def weighted(v):
+        # unweighted, the sums are taken directly: 1.0 * v is v, and n ones sum to n exactly
+        return v if w is None else w * v
+
+    wsum = float(x.size) if w is None else w.sum()
+    xm = weighted(x).sum() / wsum
+    ym = weighted(y).sum() / wsum
+    sxx = weighted((x - xm) ** 2).sum()
+    sxy = (weighted(x - xm) * (y - ym)).sum()
     slope = sxy / sxx
     intercept = ym - slope * xm
     resid = y - intercept - slope * x
-    sse = (w * resid**2).sum()
-    sst = (w * (y - ym) ** 2).sum()
+    sse = weighted(resid**2).sum()
+    sst = weighted((y - ym) ** 2).sum()
     r_squared = 1.0 if sst <= 0.0 else max(0.0, 1.0 - sse / sst)
     return slope, intercept, r_squared, sse
 

@@ -213,7 +213,8 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     g[n] = z[1]
     g[1:n] = (z[2:n + 1] + 1j * z[n + 1:2 * n]) / np.sqrt(2.0)
     g[n + 1:] = np.conj(g[1:n][::-1])
-    samples = np.fft.ifft(root * g).real[:n] * np.sqrt(2.0 * n)
+    g *= root
+    samples = np.fft.ifft(g).real[:n] * np.sqrt(2.0 * n)
     return Trace(samples, trace_meta("fgn", _spec_params(spec), spec.seed, _timestamp()))
 
 

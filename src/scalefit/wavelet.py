@@ -178,7 +178,7 @@ DEFAULT_J1 = 3
 def default_fit_range(levels: int):
     """Default octave range: drop the discretization-affected finest
     octaves and the single coarsest one."""
-    return DEFAULT_J1, levels - 1
+    return DEFAULT_J1, check_block_size(levels, "levels") - 1
 
 
 def wavelet_hurst(diagram: LogscaleDiagram, j1, j2) -> WaveletHurstFit:

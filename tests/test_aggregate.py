@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scalefit.aggregate import SUM_LIMIT, aggregate, build_pyramid, check_sums_fit, dyadic_scales
+from scalefit.aggregate import (SUM_LIMIT, _pair_sums, aggregate, build_pyramid, check_sums_fit,
+                                climb, dyadic_scales, pack_slots, row_sums)
 from scalefit.synth import FgnSpec, generate_fgn
 
 finite_values = st.floats(-1e6, 1e6, allow_nan=False)
@@ -189,6 +190,71 @@ class TestPairwiseSummation:
         assert pyramid.scales == tuple(dyadic_scales(length))
         for n in pyramid.scales:
             assert pyramid.series[n].tobytes() == aggregate(x, n).tobytes()
+
+
+def reference_row_sums(rows):
+    """Each row of a 2-D array summed by its own pairwise TwoSum tree, an
+    odd last column carried up a level unchanged: the per-row loop that
+    the slot climb replaces, kept here as its reference."""
+    total, error = _pair_sums(rows, None)
+    while total.shape[-1] > 1:
+        total, error = _pair_sums(total, error)
+    return (total + error)[:, 0]
+
+
+# a row: its source (an input or all zeros), its start, and its sign
+ROW_SOURCES = sorted(SUMMATION_INPUTS) + ["zeros"]
+row_draws = st.tuples(st.sampled_from(ROW_SOURCES), st.integers(1, 5000),
+                      st.integers(0, 2**14 - 5000), st.sampled_from([1.0, -1.0]))
+
+
+def _row(source, width, start, sign):
+    if source == "zeros":
+        return np.zeros(width)
+    return sign * SUMMATION_INPUTS[source][start:start + width]
+
+
+class TestSlotClimb:
+    """One climb over zero-padded power-of-two slots sums every row as the
+    row's own tree does: TwoSum against a zero pad returns the operand and
+    a zero error exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(row_draws, min_size=1, max_size=40))
+    @example(draws=[("fgn", 1, 0, 1.0)])
+    @example(draws=[("cauchy", 4097, 5, -1.0), ("zeros", 4096, 0, 1.0), ("fgn", 1, 3, -1.0)])
+    def test_ragged_climb_is_the_per_row_tree(self, draws):
+        rows = sorted((_row(*draw) for draw in draws), key=lambda row: -row.size)
+        buffer, slots = pack_slots(rows)
+        expected = np.array([reference_row_sums(row[None, :])[0] for row in rows])
+        assert climb(buffer, slots).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(draw=row_draws, num_rows=st.integers(1, 40))
+    def test_row_sums_is_the_per_row_tree(self, draw, num_rows):
+        """row_sums climbs one slot along the rows' leading axis."""
+        source, width, _, sign = draw
+        width = min(width, 2**14 // num_rows)
+        rows = _row(source, width * num_rows, 0, sign).reshape(num_rows, width)
+        assert row_sums(rows).tobytes() == reference_row_sums(rows).tobytes()
+
+    def test_pads_and_negation_are_exact(self):
+        """A width-1 row climbs one level against its pad; -0.0 sums to +0.0
+        on both routes, and negating a row negates its sum bitwise."""
+        rows = [SUMMATION_INPUTS["cauchy"][:1365], np.full(3, -0.0), np.array([-0.0])]
+        buffer, slots = pack_slots(rows)
+        assert slots == [2048, 4, 2]
+        sums = climb(buffer, slots)
+        assert sums.tobytes() == np.array([reference_row_sums(r[None, :])[0]
+                                           for r in rows]).tobytes()
+        assert sums[1:].tobytes() == np.zeros(2).tobytes()
+        assert climb(-buffer, slots)[0] == -sums[0]
+
+    @pytest.mark.parametrize("slots", [[4, 8], [3], [8, 1], [16, 16, 6]])
+    def test_refuses_slots_not_widest_first_powers_of_two(self, slots):
+        with pytest.raises(ValueError, match="slots must be powers of two of at least 2, "
+                                             "widest first"):
+            climb(np.zeros(sum(slots)), slots)
 
 
 class TestDyadicScales:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scalefit.aggregate import build_pyramid
+from scalefit.aggregate import aggregate, build_pyramid
 from scalefit.cumulants import (
     cumulant_scaling_table,
     empirical_cgf,
     sample_cumulants,
 )
 from scalefit.synth import CascadeSpec, FgnSpec, generate_fgn, generate_multifractal
+from test_aggregate import reference_row_sums
 
 
 def exact_cumulants_from_moments(values, probs, max_order):
@@ -125,11 +126,17 @@ class TestSampleCumulants:
             assert negated[m - 1] == expected  # bitwise
 
 
-def fsum_cumulants(x, max_order):
-    """Reference k-statistics: the power sums one correctly rounded
-    math.fsum each, the rest as sample_cumulants computes it."""
+def tree_sum(row):
+    """One row summed by its own pairwise TwoSum tree."""
+    return reference_row_sums(row[None, :])[0]
+
+
+def fsum_cumulants(x, max_order, total=math.fsum):
+    """Reference k-statistics: the mean and power sums one total each
+    (by default the correctly rounded math.fsum), the rest as
+    sample_cumulants computes it."""
     n = x.size
-    mean = math.fsum(x) / n
+    mean = total(x) / n
     out = np.empty(max_order)
     out[0] = mean
     if max_order == 1:
@@ -141,7 +148,7 @@ def fsum_cumulants(x, max_order):
     power = d
     for r in range(2, max_order + 1):
         power = power * d
-        s[r] = math.fsum(power)
+        s[r] = total(power)
     nn = float(n)
     out[1] = s[2] / (nn - 1)
     if max_order >= 3:
@@ -199,6 +206,33 @@ class TestPairwisePowerSums:
         x = np.random.default_rng(length).normal(size=length)
         order = min(length, 6)
         assert sample_cumulants(x, order).tobytes() == fsum_cumulants(x, order).tobytes()
+
+
+def _table_inputs():
+    """fGn and the cascade-modulated composite at 2^12 samples, and the
+    fGn's 1365 block sums of 3 (every pyramid level padded to its slot)."""
+    fgn = FgnSpec(0.8, 2**12, 1.0, 3)
+    x = generate_fgn(fgn).samples
+    return {"fgn_2p12": x, "aggregate_1365": aggregate(x, 3),
+            "composite_2p12": generate_multifractal(fgn, CascadeSpec(12, 2.0, 1.0, 4)).samples}
+
+
+TABLE_INPUTS = _table_inputs()
+
+
+class TestSlotTable:
+    """cumulant_scaling_table climbs every level's sums in one slot buffer;
+    each cell is still the level's own k-statistic on its own tree."""
+
+    @pytest.mark.parametrize("max_order", [1, 2, 6])
+    @pytest.mark.parametrize("name", sorted(TABLE_INPUTS))
+    def test_every_cell_is_the_per_level_tree(self, name, max_order):
+        pyramid = build_pyramid(TABLE_INPUTS[name])
+        table = cumulant_scaling_table(pyramid, max_order)
+        for n in pyramid.scales:
+            ks = fsum_cumulants(pyramid.series[n], max(max_order, 2), tree_sum)
+            for m in range(1, max_order + 1):
+                assert np.float64(table.values[(m, n)]).tobytes() == ks[m - 1].tobytes(), (m, n)
 
 
 class TestEmpiricalCgf:

@@ -10,13 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from scalefit.aggregate import aggregate, build_pyramid, check_block_size
+from scalefit.aggregate import aggregate, build_pyramid, check_block_size, dyadic_scales
 from scalefit.cumulants import check_order, cumulant_scaling_table, sample_cumulants
 from scalefit.rng import SEED_MAX, check_integer, check_seed, make_rng, standard_normals
 from scalefit.scaling import check_window_width, fit_loglog, locality_curve
 from scalefit.synth import (CascadeSpec, FgnSpec, check_depth, check_fgn_length,
                             fgn_autocovariance)
-from scalefit.wavelet import WaveletSpec, logscale_diagram
+from scalefit.wavelet import WaveletSpec, default_fit_range, logscale_diagram, max_levels
 
 
 class TestCheckInteger:
@@ -111,6 +111,12 @@ LIBRARY_CALLS = [
                  id="fgn_autocovariance-float"),
     pytest.param(lambda x, p: FgnSpec(0.8, 4096, 1.0, 3.0), "seed", id="FgnSpec-seed-float"),
     pytest.param(lambda x, p: CascadeSpec(4.0), "depth", id="CascadeSpec-depth-float"),
+    pytest.param(lambda x, p: dyadic_scales(4096.7), "length", id="dyadic_scales-float"),
+    pytest.param(lambda x, p: dyadic_scales(True), "length", id="dyadic_scales-bool"),
+    pytest.param(lambda x, p: max_levels(4096.0), "length", id="max_levels-float"),
+    pytest.param(lambda x, p: default_fit_range(9.0), "levels", id="default_fit_range-float"),
+    pytest.param(lambda x, p: default_fit_range(np.float64(9)), "levels",
+                 id="default_fit_range-np.float64"),
 ]
 
 
