@@ -13,10 +13,9 @@ summing in twice the working precision and rounding once). Every
 pyramid level of a table is zero-padded into one power-of-two slot of
 one flat buffer, widest first (aggregate.pack_slots), and the buffer is
 climbed once for the means and then once per power order: at most
-max_order x log2 N tree levels per table, 48 at 2^12 for order 4,
-where a climb per level took 150. TwoSum against a zero pad is exact,
-so each level's sums are those of its own tree bit for bit.
-sample_cumulants is the one-level case of the same path.
+max_order x log2 N tree levels per table, 48 at 2^12 for order 4.
+TwoSum against a zero pad is exact, so each level's sums are those of
+its own tree bit for bit; sample_cumulants is the one-level case.
 
 Pre-centering by each level's mean controls cancellation.
 Round-to-nearest is odd-symmetric, so the tree makes negation parity
@@ -25,8 +24,10 @@ k6 bitwise unchanged. Each centred level is scaled by a power of two to
 unit magnitude first, so the power sums cannot overflow; the scaling is
 exact and is undone on the results.
 
-check_order owns the order range 1..MAX_ORDER; a cell's numerical-zero
-test is scaling.is_numerical_zero, against k2.
+check_order owns the order range 1..MAX_ORDER. The usability rule is
+elementwise: one boolean mask over the (levels, orders) array of
+k-statistics, whose numerical-zero test is scaling.is_numerical_zero
+against the k2 column.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .aggregate import check_squares_fit, climb, pack_slots, row_sums
 from .rng import check_integer
-from .scaling import ScalingDiagram, _log2_abs, is_numerical_zero
+from .scaling import ScalingDiagram, is_numerical_zero
 
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
@@ -57,6 +58,10 @@ def check_order(order, name: str = "max_order") -> int:
 
 def _k_statistics(s: dict, n: int, max_order: int) -> list:
     """k_2 .. k_max_order of a sample of n from its central power sums s[r]."""
+    # Python floats, one level at a time, not arrays: the squares and cubes
+    # below are libm pow, and numpy's x**2 and x**3 round differently on about
+    # 0.1 % and 3-5 % of doubles (glibc 2.36, numpy 2.4), so arrays would move
+    # the table's pinned digits
     nn = float(n)
     out = [s[2] / (nn - 1)]
     if max_order >= 3:
@@ -183,11 +188,15 @@ class CumulantTable:
         )
 
 
-def _cell_usable(m: int, value: float, k2: float, blocks: int) -> bool:
-    if not math.isfinite(value) or is_numerical_zero(value, k2, m):
-        return False
-    noise = NOISE_FLOOR_SIGMAS * math.sqrt(math.factorial(m) / blocks)
-    return m == 2 or _log2_abs(value) >= math.log2(noise) + m / 2.0 * _log2_abs(k2)
+def _usable_mask(ks: np.ndarray, blocks) -> np.ndarray:
+    """Usability (see NOISE_FLOOR_SIGMAS) of every cell of a (levels, orders)
+    array of k_1, k_2, ..., from each level's block count."""
+    orders = np.arange(1, ks.shape[1] + 1)
+    k2 = ks[:, 1:2]
+    noise = NOISE_FLOOR_SIGMAS * np.sqrt(np.cumprod(orders) / np.asarray(blocks)[:, None])
+    with np.errstate(divide="ignore"):
+        above_noise = np.log2(np.abs(ks)) >= np.log2(noise) + orders / 2.0 * np.log2(np.abs(k2))
+    return np.isfinite(ks) & ~is_numerical_zero(ks, k2, orders) & ((orders == 2) | above_noise)
 
 
 def cumulant_scaling_table(pyramid, max_order: int = DEFAULT_ORDER) -> CumulantTable:
@@ -196,19 +205,17 @@ def cumulant_scaling_table(pyramid, max_order: int = DEFAULT_ORDER) -> CumulantT
     check_order(max_order)
     finest = pyramid.series[pyramid.scales[0]]
     check_squares_fit(finest - finest.mean())
-    values = {}
-    usable = {}
+    orders = tuple(range(1, max_order + 1))
     block_counts = {n: pyramid.series[n].size for n in pyramid.scales}
     # order 2 always computed: it sets the usability reference scale
     table = _slot_cumulants([pyramid.series[n] for n in pyramid.scales], max(max_order, 2))
-    for n, ks in zip(pyramid.scales, table):
-        for m in range(1, max_order + 1):
-            values[(m, n)] = float(ks[m - 1])
-            usable[(m, n)] = _cell_usable(m, ks[m - 1], ks[1], block_counts[n])
+    usable = _usable_mask(table, list(block_counts.values()))[:, :max_order]
+    # keys (m, n) in the table's row-major order: scale outer, order inner
+    cells = list(zip(orders * len(pyramid.scales), np.repeat(pyramid.scales, max_order).tolist()))
     return CumulantTable(
-        orders=tuple(range(1, max_order + 1)),
+        orders=orders,
         scales=tuple(pyramid.scales),
-        values=values,
+        values=dict(zip(cells, table[:, :max_order].ravel().tolist())),
         block_counts=block_counts,
-        usable=usable,
+        usable=dict(zip(cells, usable.ravel().tolist())),
     )

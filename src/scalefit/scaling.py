@@ -18,7 +18,8 @@ ScalingDiagram.fit returns it: fit_loglog returns it, hurst_spectrum
 keeps one per fitted order and wavelet_hurst reads its H. A slide,
 ScalingDiagram.locality, returns the LocalityCurve itself.
 is_numerical_zero is the numerical-zero rule of both estimators and of
-the knee test.
+the knee test, elementwise: applied once to a table's cells or to a
+diagram's energies, and to one scalar by the knee test.
 """
 from __future__ import annotations
 
@@ -58,22 +59,17 @@ def check_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _log2_abs(value: float) -> float:
-    return math.log2(abs(value)) if value else -math.inf
-
-
-def is_numerical_zero(value: float, variance: float, order: int = 2) -> bool:
-    """The numerical-zero rule of both estimators: |value| <=
+def is_numerical_zero(value, variance, order=2):
+    """The numerical-zero rule of both estimators, elementwise: |value| <=
     NUMERICAL_ZERO_REL * variance**(order/2), variance being a second
-    moment, compared in log2 so that it cannot overflow."""
-    return _log2_abs(value) <= math.log2(NUMERICAL_ZERO_REL) + order / 2.0 * _log2_abs(variance)
+    moment, compared in log2 (a zero's is -inf) so that it cannot overflow."""
+    with np.errstate(divide="ignore"):
+        return (np.log2(np.abs(value))
+                <= math.log2(NUMERICAL_ZERO_REL) + order / 2.0 * np.log2(np.abs(variance)))
 
 
 def _ols(x: np.ndarray, y: np.ndarray, w=None):
-    """(Weighted) least squares line fit: slope, intercept, r^2, sse."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = None if w is None else np.asarray(w, dtype=float)
+    """(Weighted) least squares line fit of float arrays: slope, intercept, r^2, sse."""
 
     def weighted(v):
         # unweighted, the sums are taken directly: 1.0 * v is v, and n ones sum to n exactly

@@ -26,6 +26,7 @@ import io
 import json
 import os
 import warnings
+from itertools import chain, islice
 
 import numpy as np
 
@@ -58,10 +59,17 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+# lines joined per write: a trace's rows are never all held at once
+_WRITE_BATCH_LINES = 4096
+
+
 def _write_text(path, lines) -> None:
-    """Write lines (any iterable of str) as ASCII, each ended by "\n"."""
+    """Write lines (any iterable of str, consumed lazily) as ASCII, each
+    ended by "\n"."""
+    lines = iter(lines)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        while batch := list(islice(lines, _WRITE_BATCH_LINES)):
+            fh.write("\n".join(batch) + "\n")
 
 
 def _write_json(path, obj) -> None:
@@ -71,8 +79,8 @@ def _write_json(path, obj) -> None:
 def write_trace(trace: Trace, path) -> None:
     """Write samples as CSV rows "i,value" (1-based) plus a JSON sidecar."""
     n = trace.samples.size
-    _write_text(path, ["index,value", *map("{},{:.17g}".format, range(1, n + 1),
-                                           trace.samples.tolist())])
+    _write_text(path, chain(["index,value"], map("{},{:.17g}".format, range(1, n + 1),
+                                                 trace.samples.tolist())))
     _write_json(sidecar_path(path), {"format": FORMAT_VERSION, "length": int(n),
                                      **trace_meta(*map(trace.meta.get, META_FIELDS))})
 

@@ -6,9 +6,10 @@ per octave against the octave; for a stationary long-range dependent
 series its slope alpha relates to the Hurst exponent by H = (alpha+1)/2.
 Octave energies are chi-square-like averages of n_j coefficients, so
 the regression is weighted by the coefficient counts. Energies follow
-the cumulant table's numerical-zero rule (scaling.is_numerical_zero),
-against the centred mean square. The diagram is fitted and slid as a
-scaling.ScalingDiagram, the same object the cumulant estimator fits.
+the cumulant table's numerical-zero rule (scaling.is_numerical_zero,
+elementwise), applied once to every octave's energy against the centred
+mean square. The diagram is fitted and slid as a scaling.ScalingDiagram,
+the same object the cumulant estimator fits.
 """
 from __future__ import annotations
 
@@ -156,14 +157,13 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     centred = samples - samples.mean()
     variance = check_squares_fit(centred) / centred.size
     result = dwt(centred, spec)
-    energy = {}
-    counts = {}
-    for j, d in enumerate(result.details, start=1):
-        # numpy's fixed-order pairwise sum: a BLAS dot product's digits follow the thread count
-        mu = float(np.sum(d * d)) / d.size
-        energy[j] = 0.0 if is_numerical_zero(mu, variance) else mu
-        counts[j] = d.size
-    return LogscaleDiagram(octaves=tuple(range(1, spec.levels + 1)), energy=energy, counts=counts)
+    octaves = tuple(range(1, spec.levels + 1))
+    counts = [d.size for d in result.details]
+    # numpy's fixed-order pairwise sum: a BLAS dot product's digits follow the thread count
+    mu = np.array([np.sum(d * d) for d in result.details]) / counts
+    energy = np.where(is_numerical_zero(mu, variance), 0.0, mu)
+    return LogscaleDiagram(octaves=octaves, energy=dict(zip(octaves, energy.tolist())),
+                           counts=dict(zip(octaves, counts)))
 
 
 class WaveletHurstFit(NamedTuple):

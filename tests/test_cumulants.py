@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from scalefit.aggregate import aggregate, build_pyramid
 from scalefit.cumulants import (
+    NOISE_FLOOR_SIGMAS,
+    _usable_mask,
     cumulant_scaling_table,
     empirical_cgf,
     sample_cumulants,
 )
+from scalefit.scaling import NUMERICAL_ZERO_REL, is_numerical_zero
 from scalefit.synth import CascadeSpec, FgnSpec, generate_fgn, generate_multifractal
 from test_aggregate import reference_row_sums
 
@@ -208,6 +211,50 @@ class TestPairwisePowerSums:
         assert sample_cumulants(x, order).tobytes() == fsum_cumulants(x, order).tobytes()
 
 
+def scalar_log2_abs(value):
+    return math.log2(abs(value)) if value else -math.inf
+
+
+def scalar_is_numerical_zero(value, variance, order=2):
+    """The numerical-zero rule one scalar at a time, in math.log2."""
+    return (scalar_log2_abs(value)
+            <= math.log2(NUMERICAL_ZERO_REL) + order / 2.0 * scalar_log2_abs(variance))
+
+
+def scalar_cell_usable(m, value, k2, blocks):
+    """The usability rule one cell at a time, in Python floats."""
+    if not math.isfinite(value) or scalar_is_numerical_zero(value, k2, m):
+        return False
+    noise = NOISE_FLOOR_SIGMAS * math.sqrt(math.factorial(m) / blocks)
+    return m == 2 or scalar_log2_abs(value) >= math.log2(noise) + m / 2.0 * scalar_log2_abs(k2)
+
+
+SPECIAL_CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -3e-320,
+                 1e-300, -1e-300, 1e300, -1e300]
+
+
+def _random_cells(seed, levels, orders):
+    """A (levels, orders) array of k_1, k_2, ... and blocks per level. Odd
+    seeds draw magnitudes over the whole float range; even seeds put k_m
+    near its noise floor 3 sqrt(m!/K) k2^(m/2). A third of the cells, k2's
+    column included, are replaced by zeros, infinities, NaN, subnormals
+    or 1e+-300."""
+    rng = np.random.default_rng(seed)
+    shape = (levels, orders)
+    blocks = rng.integers(1, 2**20, levels)
+    if seed % 2:
+        ks = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    else:
+        m = np.arange(1, orders + 1)
+        k2 = 10.0 ** rng.uniform(-3, 3, (levels, 1))
+        floor = 3.0 * np.sqrt(np.cumprod(m) / blocks[:, None]) * k2 ** (m / 2.0)
+        ks = floor * rng.choice([-1.0, 1.0], shape) * 2.0 ** rng.uniform(-4, 4, shape)
+        ks[:, 1:2] = k2
+    special = rng.random(shape) < 1 / 3
+    ks[special] = rng.choice(SPECIAL_CELLS, special.sum())
+    return ks, blocks
+
+
 def _table_inputs():
     """fGn and the cascade-modulated composite at 2^12 samples, and the
     fGn's 1365 block sums of 3 (every pyramid level padded to its slot)."""
@@ -222,7 +269,8 @@ TABLE_INPUTS = _table_inputs()
 
 class TestSlotTable:
     """cumulant_scaling_table climbs every level's sums in one slot buffer;
-    each cell is still the level's own k-statistic on its own tree."""
+    each cell is still the level's own k-statistic on its own tree, and
+    its usability flag is the scalar rule's."""
 
     @pytest.mark.parametrize("max_order", [1, 2, 6])
     @pytest.mark.parametrize("name", sorted(TABLE_INPUTS))
@@ -233,6 +281,44 @@ class TestSlotTable:
             ks = fsum_cumulants(pyramid.series[n], max(max_order, 2), tree_sum)
             for m in range(1, max_order + 1):
                 assert np.float64(table.values[(m, n)]).tobytes() == ks[m - 1].tobytes(), (m, n)
+                usable = scalar_cell_usable(m, ks[m - 1], ks[1], pyramid.series[n].size)
+                assert table.usable[(m, n)] is usable, (m, n)
+
+
+class TestUsableMask:
+    """The table's usability mask and the elementwise is_numerical_zero
+    agree, cell by cell, with the same rules applied one scalar at a time."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mask_matches_scalar_rule(self, seed):
+        ks, blocks = _random_cells(seed, 40, 6)
+        mask = _usable_mask(ks, blocks)
+        assert mask.shape == ks.shape and mask.dtype == bool
+        expected = [[scalar_cell_usable(m, v, row[1], int(b)) for m, v in enumerate(row, start=1)]
+                    for row, b in zip(ks.tolist(), blocks)]
+        assert mask.tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_is_numerical_zero_matches_scalar_rule(self, seed):
+        ks, _ = _random_cells(seed, 40, 6)
+        variances = ks[:, 1]
+        orders = np.arange(1, 7)
+        flags = is_numerical_zero(ks, variances[:, None], orders)
+        expected = [[scalar_is_numerical_zero(v, k2, m) for m, v in enumerate(row, start=1)]
+                    for row, k2 in zip(ks.tolist(), variances.tolist())]
+        assert flags.tolist() == expected
+
+    def test_scalar_call_works_in_if(self):
+        for value, variance, zero in [(1e-20, 1.0, True), (1.0, 1.0, False), (0.0, 0.0, True),
+                                      (-0.0, 1.0, True), (math.nan, 1.0, False),
+                                      (math.inf, math.inf, True), (1e-300, 1e300, True)]:
+            flag = is_numerical_zero(value, variance)
+            assert np.ndim(flag) == 0
+            if flag:
+                assert zero, (value, variance)
+            else:
+                assert not zero, (value, variance)
+            assert bool(flag) == scalar_is_numerical_zero(value, variance)
 
 
 class TestEmpiricalCgf:

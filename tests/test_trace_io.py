@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -56,6 +57,19 @@ class TestWriteTrace:
         write_trace(trace, b)
         assert a.read_bytes() == b.read_bytes()
         assert Path(sidecar_path(a)).read_bytes() == Path(sidecar_path(b)).read_bytes()
+
+    def test_2p17_write_streams_rows(self, tmp_path):
+        """write_trace formats and writes its rows in batches: its traced
+        peak stays near the samples' 4 MB of Python floats, where formatting
+        every row before the write peaked at 17.8 MB."""
+        trace = generate_fgn(FgnSpec(0.8, 2**17, 1.0, 5))
+        tracemalloc.start()
+        try:
+            write_trace(trace, tmp_path / "t.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestRoundTrip:
