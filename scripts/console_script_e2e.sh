@@ -1,7 +1,8 @@
 #!/bin/sh
 # End to end through the installed `scalefit` console script (after
 # `pip install .`): generate -> report on an fGn trace, on its
-# `aggregate --scale 3` output and on a composite, each bundle complete;
+# `aggregate --scale 3` output, on a composite and on a cascade (the one
+# model that imports scipy), each bundle complete;
 # then generate -> report once more under SCALEFIT_FIXED_CLOCK=1, twice,
 # and `diff -r` of the two runs (trace, sidecar and bundle).
 # Usage: scripts/console_script_e2e.sh WORKDIR
@@ -14,9 +15,12 @@ test "$(ls r | wc -l)" -eq 7
 scalefit aggregate t.csv --scale 3 --out a.csv
 scalefit report a.csv --outdir ra
 test "$(ls ra | wc -l)" -eq 7
-scalefit generate --model multifractal --length 4096 --depth 12 --seed 3 --cascade-seed 4 --out m.csv
+scalefit generate --model multifractal --length 4096 --seed 3 --cascade-seed 4 --out m.csv
 scalefit report m.csv --outdir rm
 test "$(ls rm | wc -l)" -eq 7
+scalefit generate --model cascade --length 4096 --out c.csv
+scalefit report c.csv --outdir rc
+test "$(ls rc | wc -l)" -eq 7
 for run in fixed1 fixed2; do
     mkdir -p "$run"
     SCALEFIT_FIXED_CLOCK=1 scalefit generate --model fgn --length 4096 --seed 3 --out "$run/t.csv"

@@ -20,10 +20,11 @@ column is carried up a level unchanged. row_sums climbs one slot along
 a leading axis of rows; the cumulant table climbs one slot per pyramid
 level.
 
-build_pyramid is a prefix of the same tree over the whole trace: scale
-1 is a copy of the samples, scale 2n is formed from scale n's (sum,
-error) pair, and each power-of-two level equals aggregate(x, 2**k) bit
-for bit. check_sums_fit and check_squares_fit are the overflow rules of
+build_pyramid is a prefix of the same tree over the whole trace, at
+the dyadic scales its length allows (dyadic_scales): scale 1 is a copy
+of the samples, scale 2n is formed from scale n's (sum, error) pair,
+and each power-of-two level equals aggregate(x, 2**k) bit for bit.
+check_sums_fit and check_squares_fit are the overflow rules of
 the raw sums and of the centred squares the package takes.
 """
 from __future__ import annotations
@@ -151,7 +152,7 @@ def check_squares_fit(centred: np.ndarray) -> float:
 
 
 def check_block_size(n, name: str = "block size") -> int:
-    """Block sizes, pyramid scales and wavelet pyramid depths are positive integers."""
+    """Block sizes and wavelet pyramid depths are positive integers."""
     return check_integer(n, name, lambda k: k >= 1, "a positive integer")
 
 
@@ -183,44 +184,33 @@ class AggregatePyramid:
 
 
 def dyadic_scales(length: int) -> list:
-    """Default scale set: 2**0 up to the coarsest power of two that still
-    leaves MIN_BLOCKS blocks (2**0 alone for a shorter trace)."""
+    """build_pyramid's scales: 2**0 up to the coarsest power of two that
+    still leaves MIN_BLOCKS blocks (2**0 alone for a shorter trace)."""
     length = check_integer(length, "length", lambda n: n >= 0, "a nonnegative integer")
     return [2**e for e in range(max((length // MIN_BLOCKS).bit_length(), 1))]
 
 
-def build_pyramid(trace_or_samples, scales=None) -> AggregatePyramid:
-    """Aggregate a trace at each requested power-of-two scale (default: dyadic).
+def build_pyramid(trace_or_samples) -> AggregatePyramid:
+    """Aggregate a trace at every dyadic scale its length allows (dyadic_scales).
 
-    Every scale must leave at least MIN_BLOCKS full blocks, and the
-    samples' sums must fit float64 (check_sums_fit). Scale 1 is a copy
-    of the samples. The levels are a prefix of the summation tree over
-    the whole trace: level 2n is _pair_sums on level n's (sum, error)
-    pair, an odd last column carried up unchanged (as a zero pad in
-    climb would leave it), and the first x.size // n sums of a level are
-    aggregate(x, n) bit for bit.
-    Any other block size is aggregate's alone.
+    The trace must leave MIN_BLOCKS blocks at scale 1, and the samples'
+    sums must fit float64 (check_sums_fit). Scale 1 is a copy of the
+    samples. The levels are a prefix of the summation tree over the
+    whole trace: level 2n is _pair_sums on level n's (sum, error) pair,
+    an odd last column carried up unchanged (as a zero pad in climb
+    would leave it), and the first x.size // n sums of a level are
+    aggregate(x, n) bit for bit. A fit over fewer scales takes an octave
+    window of the table; any other block size is aggregate's alone.
     """
     x = _as_samples(trace_or_samples)
     check_sums_fit(x)
-    if scales is None:
-        scales = dyadic_scales(x.size)
-    scales = sorted({check_block_size(s) for s in scales})
-    if not scales:
-        raise ValueError("scales must be nonempty")
-    for n in scales:
-        if n & (n - 1):
-            raise ValueError(f"scale {n} is not a power of two; aggregate takes any block size")
-        if x.size // n < MIN_BLOCKS:
-            raise ValueError(
-                f"scale {n} leaves {x.size // n} blocks of a length-{x.size} trace; "
-                f"at least {MIN_BLOCKS} are required"
-            )
+    if x.size < MIN_BLOCKS:
+        raise ValueError(f"scale 1 leaves {x.size} blocks of a length-{x.size} trace; "
+                         f"at least {MIN_BLOCKS} are required")
+    scales = dyadic_scales(x.size)
     series = {1: x.copy()}
-    total, error, n = x, None, 1
-    while n < scales[-1]:
+    total, error = x, None
+    for n in scales[1:]:
         total, error = _pair_sums(total, error)
-        n *= 2
         series[n] = (total + error)[: x.size // n]
-    return AggregatePyramid(scales=tuple(scales), series={n: series[n] for n in scales},
-                            source_length=x.size)
+    return AggregatePyramid(scales=tuple(scales), series=series, source_length=x.size)

@@ -4,9 +4,11 @@ plot-ready CSV reporting.
 Exit codes: 0 success, 1 computation/estimation failure, 2 usage or
 validation failure. Before any computation starts, every flag given is
 checked by its owner's rule (_RULES) under the flag's name; the CLI
-owns only the input-file rule and the rules that join flags. Set the
-environment variable SCALEFIT_FIXED_CLOCK to freeze recorded timestamps
-and make generate -> report pipelines byte-reproducible.
+owns only the input-file rule and the rule that joins --j-lo and
+--j-hi. generate sizes every model by --length: a cascade's depth is
+its log2. Set the environment variable SCALEFIT_FIXED_CLOCK to freeze
+recorded timestamps and make generate -> report pipelines
+byte-reproducible.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .aggregate import build_pyramid, check_block_size
 # each flag's owner rule by dest, called as rule(value, "--flag") on every flag given
 _RULES = {
     "hurst": synth.check_hurst, "variance": synth.check_positive,
-    "length": synth.check_fgn_length, "seed": rng.check_seed, "depth": synth.check_depth,
+    "length": synth.check_fgn_length, "seed": rng.check_seed,
     "multiplier": synth.check_positive, "mass": synth.check_positive,
     "cascade_seed": rng.check_seed, "max_order": cumulants.check_order,
     "order": cumulants.check_order, "scale": check_block_size, "levels": check_block_size,
@@ -70,11 +72,10 @@ def _build_parser():
     gen.add_argument("--model", required=True, choices=("fgn", "cascade", "multifractal"))
     gen.add_argument("--hurst", type=float, default=0.7, help="Hurst exponent in (0,1) [0.7]")
     gen.add_argument("--length", type=int, default=65536,
-                     help="trace length, a power of two >= 16 [65536]")
+                     help="trace length, a power of two >= 16; a cascade's cell count "
+                          "[65536]")
     gen.add_argument("--variance", type=float, default=1.0, help="marginal variance [1.0]")
     gen.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed [0]")
-    gen.add_argument("--depth", type=int, default=16,
-                     help="cascade depth, producing 2**depth cells [16]")
     gen.add_argument("--multiplier", type=float, default=2.0,
                      help="Beta(a,a) shape of the cascade multiplier [2.0]")
     gen.add_argument("--mass", type=float, default=1.0, help="cascade total mass [1.0]")
@@ -123,10 +124,8 @@ def _check(args):
     if args.command == "generate":
         args.fgn_spec = synth.FgnSpec(args.hurst, args.length, args.variance, args.seed)
         args.cascade_spec = synth.CascadeSpec(
-            args.depth, args.multiplier, args.mass,
+            args.length.bit_length() - 1, args.multiplier, args.mass,
             args.seed if args.cascade_seed is None else args.cascade_seed)
-        if args.model == "multifractal":
-            synth.check_composite(args.fgn_spec, args.cascade_spec)
 
 
 def _summary_line(trace: synth.Trace) -> str:

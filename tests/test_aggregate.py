@@ -79,52 +79,31 @@ class TestAggregate:
 class TestBuildPyramid:
     def test_level_lengths(self):
         x = np.arange(2**10, dtype=float)
-        pyramid = build_pyramid(x, [2**e for e in range(8)])
+        pyramid = build_pyramid(x)
         assert pyramid.scales == tuple(2**e for e in range(8))
         for n in pyramid.scales:
             assert pyramid.series[n].size == 2**10 // n
 
     def test_scale_one_wraps_source(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-        pyramid = build_pyramid(x, [1])
+        pyramid = build_pyramid(x)
+        assert pyramid.scales == (1,)
         assert np.array_equal(pyramid.series[1], x)
         assert not np.shares_memory(pyramid.series[1], x)
 
-    @pytest.mark.parametrize("with_one", [False, True], ids=["alone", "with_1"])
-    @pytest.mark.parametrize("scale", [3, 6, 12])
-    def test_rejects_non_power_of_two_scales(self, scale, with_one):
-        """Only aggregate takes other block sizes; the pyramid refuses
-        them by name."""
-        with pytest.raises(ValueError, match=f"^scale {scale} is not a power of two"):
-            build_pyramid(np.zeros(4096), [1, scale] if with_one else [scale])
-
     def test_rejects_fewer_than_8_blocks(self):
-        with pytest.raises(ValueError, match="8"):
-            build_pyramid(np.zeros(64), [16])
+        with pytest.raises(ValueError, match="^scale 1 leaves 7 blocks of a length-7 trace; "
+                                             "at least 8 are required$"):
+            build_pyramid(np.zeros(7))
 
     def test_accepts_exactly_8_blocks(self):
-        pyramid = build_pyramid(np.zeros(64), [8])
+        pyramid = build_pyramid(np.zeros(64))
+        assert pyramid.scales[-1] == 8
         assert pyramid.series[8].size == 8
 
     def test_default_scales_are_dyadic(self):
         pyramid = build_pyramid(np.zeros(2**12))
         assert pyramid.scales == tuple(2**e for e in range(10))
-
-    def test_rejects_empty_scales(self):
-        with pytest.raises(ValueError):
-            build_pyramid(np.zeros(64), [])
-
-    def test_scales_sorted_and_deduplicated(self):
-        pyramid = build_pyramid(np.zeros(64), [4, 1, 4, 2])
-        assert pyramid.scales == (1, 2, 4)
-
-    @pytest.mark.parametrize("scale", [2.5, 0.5, float("inf"), float("nan")])
-    def test_rejects_non_integer_scales(self, scale):
-        """Each given scale meets the block-size rule before it is
-        converted, as aggregate's block size does."""
-        with pytest.raises(ValueError, match=f"block size must be a positive integer, "
-                                             f"got {scale}"):
-            build_pyramid(np.zeros(64), [1, scale])
 
     def test_rejects_overflowing_sums(self):
         """Finite samples whose sums pass float64's range are refused by
@@ -276,7 +255,7 @@ class TestVarianceScaling:
         rng = np.random.default_rng(5)
         x = rng.normal(size=2**14)
         scales = [2**e for e in range(9)]
-        pyramid = build_pyramid(x, scales)
+        pyramid = build_pyramid(x)
         log_var = [np.log2(pyramid.series[n].var(ddof=1)) for n in scales]
         slope = np.polyfit(np.log2(scales), log_var, 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)

@@ -90,7 +90,7 @@ class TestGenerate:
 
     def test_cascade_model(self, tmp_path):
         out = tmp_path / "c.csv"
-        assert run("generate", "--model", "cascade", "--depth", 10, "--multiplier", 2.0,
+        assert run("generate", "--model", "cascade", "--length", 1024, "--multiplier", 2.0,
                    "--seed", 3, "--out", out) == 0
         trace = read_trace(out)
         assert trace.samples.size == 1024
@@ -98,7 +98,7 @@ class TestGenerate:
 
     def test_cascade_seed_seeds_cascade_model(self, tmp_path):
         paths = {tag: tmp_path / f"{tag}.csv" for tag in ("given", "seed2", "default")}
-        cascade = ["generate", "--model", "cascade", "--depth", 10]
+        cascade = ["generate", "--model", "cascade", "--length", 1024]
         assert run(*cascade, "--seed", 1, "--cascade-seed", 2, "--out", paths["given"]) == 0
         assert run(*cascade, "--seed", 2, "--out", paths["seed2"]) == 0
         assert run(*cascade, "--seed", 1, "--out", paths["default"]) == 0
@@ -109,12 +109,16 @@ class TestGenerate:
         write_trace(synth.generate_cascade(synth.CascadeSpec(10, 2.0, 1.0, 1)), expected)
         assert paths["default"].read_bytes() == expected.read_bytes()
 
-    def test_multifractal_length_consistency(self, tmp_path, capsys):
-        code, captured = run_expecting_exit(
-            capsys, "generate", "--model", "multifractal", "--hurst", 0.7,
-            "--length", 1024, "--depth", 9, "--seed", 1, "--out", tmp_path / "m.csv")
-        assert code == 2
-        assert "2**depth" in captured.err
+    def test_multifractal_length_consistency(self, tmp_path):
+        """--length sizes the composite's cascade too: one cell per fGn sample."""
+        out, expected = tmp_path / "m.csv", tmp_path / "expected.csv"
+        assert run("generate", "--model", "multifractal", "--hurst", 0.7,
+                   "--length", 1024, "--seed", 1, "--out", out) == 0
+        assert read_trace(out).samples.size == 1024
+        assert json.loads(Path(sidecar_path(out)).read_text())["params"]["depth"] == 10
+        write_trace(synth.generate_multifractal(synth.FgnSpec(0.7, 1024, 1.0, 1),
+                                                synth.CascadeSpec(10, 2.0, 1.0, 1)), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_bad_length_exit_2(self, tmp_path, capsys):
         code, captured = run_expecting_exit(
@@ -142,29 +146,30 @@ INVALID_FLAGS = [
      "--hurst must be in the open interval (0, 1), got 1.2"),
     (["generate", "--model", "fgn", "--length", 1000, "--out", "{out}"],
      "--length must be a power of two >= 16, got 1000"),
+    # --depth is gone under every model: --length sizes the cascade
     (["generate", "--model", "cascade", "--depth", 1, "--out", "{out}"],
-     "--depth must be an integer >= 2, got 1"),
+     "scalefit: error: unrecognized arguments: --depth 1"),
     (["generate", "--model", "multifractal", "--length", 1024, "--depth", 9,
-      "--out", "{out}"], "1024"),
+      "--out", "{out}"], "scalefit: error: unrecognized arguments: --depth 9"),
+    (["generate", "--model", "fgn", "--depth", 1, "--length", 1024, "--out", "{out}"],
+     "scalefit: error: unrecognized arguments: --depth 1"),
     (["generate", "--model", "fgn", "--variance", "inf", "--out", "{out}"],
      "--variance must be finite and positive, got inf"),
     (["generate", "--model", "cascade", "--multiplier", "inf", "--out", "{out}"],
      "--multiplier must be finite and positive, got inf"),
-    (["generate", "--model", "multifractal", "--length", 1024, "--depth", 10,
-      "--mass", "inf", "--out", "{out}"], "--mass must be finite and positive, got inf"),
+    (["generate", "--model", "multifractal", "--length", 1024, "--mass", "inf",
+      "--out", "{out}"], "--mass must be finite and positive, got inf"),
     (["generate", "--model", "cascade", "--mass", -1, "--out", "{out}"],
      "--mass must be finite and positive, got -1.0"),
     (["generate", "--model", "cascade", "--seed", -1, "--out", "{out}"],
      "--seed must be an unsigned 64-bit integer, got -1"),
-    (["generate", "--model", "multifractal", "--length", 1024, "--depth", 10,
-      "--cascade-seed", -1, "--out", "{out}"],
+    (["generate", "--model", "multifractal", "--length", 1024, "--cascade-seed", -1,
+      "--out", "{out}"],
      "--cascade-seed must be an unsigned 64-bit integer, got -1"),
     # every flag given is checked, whether or not the model reads it
-    (["generate", "--model", "fgn", "--depth", 1, "--length", 1024, "--out", "{out}"],
-     "--depth must be an integer >= 2, got 1"),
-    (["generate", "--model", "cascade", "--hurst", 1.5, "--depth", 4, "--out", "{out}"],
+    (["generate", "--model", "cascade", "--hurst", 1.5, "--length", 16, "--out", "{out}"],
      "--hurst must be in the open interval (0, 1), got 1.5"),
-    (["generate", "--model", "cascade", "--cascade-seed", -1, "--depth", 4, "--out", "{out}"],
+    (["generate", "--model", "cascade", "--cascade-seed", -1, "--length", 16, "--out", "{out}"],
      "--cascade-seed must be an unsigned 64-bit integer, got -1"),
 ]
 
@@ -262,9 +267,8 @@ assert main(["generate", "--model", "fgn", "--length", "4096", "--out", "f.csv"]
 assert main(["report", "f.csv", "--outdir", "rep"]) == 0
 assert scipy_loaded() == [], scipy_loaded()
 assert "numpy.ma" not in sys.modules
-assert main(["generate", "--model", "cascade", "--depth", "10", "--out", "c.csv"]) == 0
-assert main(["generate", "--model", "multifractal", "--length", "1024", "--depth", "10",
-             "--out", "m.csv"]) == 0
+assert main(["generate", "--model", "cascade", "--length", "1024", "--out", "c.csv"]) == 0
+assert main(["generate", "--model", "multifractal", "--length", "1024", "--out", "m.csv"]) == 0
 assert "scipy.special" in scipy_loaded()
 """
     env = dict(os.environ, PYTHONPATH=str(Path(scalefit.__file__).parents[1]))
@@ -359,7 +363,7 @@ class TestLocality:
         """A curve too short for detect_knee is still written: locality
         prints the reason report records under omitted_knees, exits 0."""
         trace, out = tmp_path / "cascade.csv", tmp_path / "c.csv"
-        assert run("generate", "--model", "cascade", "--depth", 12, "--seed", 5,
+        assert run("generate", "--model", "cascade", "--length", 4096, "--seed", 5,
                    "--out", trace) == 0
         capsys.readouterr()
         assert run("locality", trace, "--order", 3, "--out", out) == 0
@@ -455,7 +459,7 @@ class TestReport:
         row, with the reason in the manifest; the rest of the bundle is
         written."""
         trace = tmp_path / "cascade.csv"
-        assert run("generate", "--model", "cascade", "--depth", 12, "--seed", 5,
+        assert run("generate", "--model", "cascade", "--length", 4096, "--seed", 5,
                    "--out", trace) == 0
         outdir = tmp_path / "rep"
         assert run("report", trace, "--outdir", outdir, "--max-order", 6, "--order", 3) == 0
@@ -509,7 +513,7 @@ class TestReport:
         """The table is built deep enough for --order (order 5 cumulants
         of a cascade are usable; those of Gaussian fGn are not)."""
         trace = tmp_path / "cascade.csv"
-        assert run("generate", "--model", "cascade", "--depth", 16, "--seed", 3,
+        assert run("generate", "--model", "cascade", "--length", 65536, "--seed", 3,
                    "--out", trace) == 0
         assert run("report", trace, "--outdir", tmp_path / "rep",
                    "--order", 5, "--max-order", 4) == 0
@@ -518,7 +522,7 @@ class TestReport:
         """--order deeper than --max-order deepens the table; the manifest
         records the depth actually written."""
         trace = tmp_path / "cascade.csv"
-        assert run("generate", "--model", "cascade", "--depth", 16, "--seed", 3,
+        assert run("generate", "--model", "cascade", "--length", 65536, "--seed", 3,
                    "--out", trace) == 0
         outdir = tmp_path / "rep"
         assert run("report", trace, "--outdir", outdir, "--order", 5, "--max-order", 4) == 0
@@ -736,7 +740,7 @@ class TestEndToEndDeterminism:
             trace = workdir / "t.csv"
             outdir = workdir / "rep"
             assert run("generate", "--model", "multifractal", "--hurst", 0.7,
-                       "--length", 4096, "--depth", 12, "--seed", 9,
+                       "--length", 4096, "--seed", 9,
                        "--cascade-seed", 11, "--out", trace) == 0
             assert run("report", trace, "--outdir", outdir) == 0
             results.append({

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -83,6 +84,10 @@ class TestSampleCumulants:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             sample_cumulants([1.0, 2.0, 3.0], 4)
+
+    def test_rejects_2d_series(self):
+        with pytest.raises(ValueError, match="^series must be one-dimensional$"):
+            sample_cumulants(np.zeros((4, 4)), 2)
 
     @pytest.mark.parametrize("order", [0, 7, -1])
     def test_rejects_bad_order(self, order):
@@ -339,6 +344,20 @@ class TestEmpiricalCgf:
         with pytest.raises(ValueError, match="guard"):
             empirical_cgf([1000.0, -1000.0], 1.0)
 
+    def test_rejects_empty_series(self):
+        with pytest.raises(ValueError, match="^series must be nonempty$"):
+            empirical_cgf([], 1.0)
+
+    def test_sum_of_terms_overflow_refused(self):
+        """Each exp(t*x) passes the exponent guard, but 2^17 of them sum
+        past float64: the sum rule refuses it by name, with no numpy
+        warning and no nan. Below the limit the terms still sum exactly."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sums overflow float64"):
+                empirical_cgf(np.full(2**17, 1.0), 699.0)
+            assert empirical_cgf(np.full(2**10, 1.0), 699.0) == 699.0
+
     def test_finite_difference_matches_k_statistics(self):
         """Central differences of the empirical CGF at 0 reproduce the
         first three cumulant estimates (up to O(1/n) estimator bias and
@@ -358,7 +377,7 @@ class TestEmpiricalCgf:
 class TestCumulantScalingTable:
     def test_constant_trace_rows(self):
         x = np.full(2**8, 1.5)
-        table = cumulant_scaling_table(build_pyramid(x, [1, 2, 4, 8, 16]), 4)
+        table = cumulant_scaling_table(build_pyramid(x), 4)
         for n in (1, 2, 4, 8, 16):
             assert table.values[(1, n)] == pytest.approx(1.5 * n, rel=1e-12)
             for m in (2, 3, 4):
@@ -367,14 +386,15 @@ class TestCumulantScalingTable:
 
     def test_block_counts(self):
         x = np.random.default_rng(0).normal(size=2**10)
-        table = cumulant_scaling_table(build_pyramid(x, [1, 2, 4]), 2)
-        assert table.block_counts == {1: 2**10, 2: 2**9, 4: 2**8}
+        table = cumulant_scaling_table(build_pyramid(x), 2)
+        assert table.block_counts == {2**e: 2**(10 - e) for e in range(8)}
 
     def test_iid_gaussian_variance_slope(self):
         x = np.random.default_rng(6).normal(size=2**16)
-        table = cumulant_scaling_table(build_pyramid(x, [2**e for e in range(9)]), 2)
-        log_n = [np.log2(n) for n in table.scales]
-        log_k2 = [np.log2(table.values[(2, n)]) for n in table.scales]
+        table = cumulant_scaling_table(build_pyramid(x), 2)
+        scales = [2**e for e in range(9)]
+        log_n = [np.log2(n) for n in scales]
+        log_k2 = [np.log2(table.values[(2, n)]) for n in scales]
         slope = np.polyfit(log_n, log_k2, 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)
 
@@ -394,13 +414,13 @@ class TestCumulantScalingTable:
         """k6 of 1e60-scale data (~1e360) is infinite: unusable, and no
         overflow warning on the way (RuntimeWarnings are errors here)."""
         x = 1e60 * np.random.default_rng(10).standard_exponential(2**10)
-        table = cumulant_scaling_table(build_pyramid(x, [1, 2, 4]), 6)
-        for n in table.scales:
+        table = cumulant_scaling_table(build_pyramid(x), 6)
+        for n in (1, 2, 4):
             assert np.isinf(table.values[(6, n)])
             assert not table.usable[(6, n)]
             assert table.usable[(2, n)]
 
     def test_rejects_bad_order(self):
-        pyramid = build_pyramid(np.random.default_rng(9).normal(size=64), [1])
+        pyramid = build_pyramid(np.random.default_rng(9).normal(size=64))
         with pytest.raises(ValueError):
             cumulant_scaling_table(pyramid, 7)

@@ -105,8 +105,6 @@ LIBRARY_CALLS = [
     pytest.param(lambda x, p: locality_curve(cumulant_scaling_table(p, 2), 2.0, 4), "order",
                  id="locality_curve-order-float"),
     pytest.param(lambda x, p: aggregate(x, 4.0), "block size", id="aggregate-float"),
-    pytest.param(lambda x, p: build_pyramid(x, [1, 4.0]), "block size",
-                 id="build_pyramid-float"),
     pytest.param(lambda x, p: fgn_autocovariance(0.8, 1.0, 2.0), "lag",
                  id="fgn_autocovariance-float"),
     pytest.param(lambda x, p: FgnSpec(0.8, 4096, 1.0, 3.0), "seed", id="FgnSpec-seed-float"),

@@ -202,6 +202,10 @@ class TestDetectKnee:
         with pytest.raises(ValueError):
             detect_knee((np.arange(5.0), np.arange(5.0)))
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^x and y must have equal length$"):
+            detect_knee((np.arange(8.0), np.arange(7.0)))
+
     def test_accepts_locality_curve(self):
         points = tuple((float(j), 0.8 if j < 5 else 0.8 - 0.1 * (j - 5)) for j in range(10))
         curve = LocalityCurve(points=points, window_width=4)
@@ -251,10 +255,8 @@ class TestCompositeMultifractality:
             trace = generate_multifractal(
                 FgnSpec(0.7, 2**14, 1.0, seed), CascadeSpec(14, 2.0, 1.0, 500 + seed)
             )
-            table = cumulant_scaling_table(
-                build_pyramid(trace, [2**e for e in range(9)]), 4
-            )
-            spectrum = hurst_spectrum(table)
+            table = cumulant_scaling_table(build_pyramid(trace), 4)
+            spectrum = hurst_spectrum(table, (0, 8))
             assert 2 in spectrum.entries and 4 in spectrum.entries
             diffs.append(spectrum.hurst(2) - spectrum.hurst(4))
         assert np.mean(diffs) >= 0.03
