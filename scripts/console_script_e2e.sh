@@ -4,9 +4,12 @@
 # `aggregate --scale 3` output, on a composite and on a cascade (the one
 # model that imports scipy), each bundle complete;
 # then generate -> report once more under SCALEFIT_FIXED_CLOCK=1, twice,
-# and `diff -r` of the two runs (trace, sidecar and bundle).
+# `diff -r` of the two runs (trace, sidecar and bundle), and the trace's
+# sha256 against the pinned FGN_4096_SEED_3 (the fGn stream's bytes, under
+# whichever numpy the job installs).
 # Usage: scripts/console_script_e2e.sh WORKDIR
 set -eu
+FGN_4096_SEED_3=1ccdb11be6a2ea7aee8d02995b5629b955fd055fc50e739c4e7db1b071deafd1
 mkdir -p "$1"
 cd "$1"
 scalefit generate --model fgn --length 4096 --seed 3 --out t.csv
@@ -28,3 +31,4 @@ for run in fixed1 fixed2; do
 done
 test "$(ls fixed1/r | wc -l)" -eq 7
 diff -r fixed1 fixed2
+test "$(sha256sum fixed1/t.csv | cut -d " " -f 1)" = "$FGN_4096_SEED_3"

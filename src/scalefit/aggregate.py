@@ -47,15 +47,23 @@ def _pair_sums(total: np.ndarray, error: np.ndarray | None):
     Adjacent columns (0, 1), (2, 3), ... are added by TwoSum (Knuth),
     whose rounding error joins the pair's carried errors; an odd last
     column carries to the next level unchanged. error None means all
-    carried errors are zero (the samples themselves).
+    carried errors are zero (the samples themselves). An even level
+    allocates its sums, its errors and one scratch array; every other
+    step writes into them.
     """
     even = total.shape[-1] - total.shape[-1] % 2
     a, b = total[..., 0:even:2], total[..., 1:even:2]
     s = a + b
     b_virtual = s - a
-    rounding = (a - (s - b_virtual)) + (b - b_virtual)
+    # rounding = (a - (s - b_virtual)) + (b - b_virtual), then += the carried
+    # errors' pair sum, each step written into rounding or b_virtual
+    rounding = s - b_virtual
+    np.subtract(a, rounding, out=rounding)
+    np.subtract(b, b_virtual, out=b_virtual)
+    rounding += b_virtual
     if error is not None:
-        rounding += error[..., 0:even:2] + error[..., 1:even:2]
+        np.add(error[..., 0:even:2], error[..., 1:even:2], out=b_virtual)
+        rounding += b_virtual
     if even < total.shape[-1]:
         s = np.concatenate([s, total[..., even:]], axis=-1)
         carried = np.zeros_like(total[..., even:]) if error is None else error[..., even:]

@@ -284,8 +284,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     try:
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         _check(args)
     except ValueError as exc:
         # prints the subcommand's usage and "scalefit <cmd>: error: ...", exits 2

@@ -38,15 +38,22 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
 
     Pair order is fixed: uniforms are consumed two at a time and each
     pair yields (r cos, r sin) in that order. An odd ``count`` consumes
-    a full final pair and discards the second variate.
+    a full final pair and discards the second variate. The uniforms are
+    drawn into the output buffer and the transform runs in place, through
+    one radius and one trig buffer of ``count / 2`` doubles each.
     """
     count = check_integer(count, "count", lambda c: c >= 0, "a nonnegative integer")
     pairs = (count + 1) // 2
-    u = rng.random(2 * pairs)
-    u1 = 1.0 - u[0::2]  # in (0, 1]: keeps log() finite
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
     out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(2.0 * np.pi * u2)
-    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    rng.random(out=out)
+    even, odd = out[0::2], out[1::2]
+    r = 1.0 - even  # in (0, 1]: keeps log() finite
+    np.log(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, odd, out=odd)  # the angle
+    trig = np.cos(odd)
+    np.multiply(r, trig, out=even)
+    np.sin(odd, out=trig)
+    np.multiply(r, trig, out=odd)
     return out[:count]

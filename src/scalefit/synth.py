@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -149,36 +149,54 @@ def _fgn_gamma(hurst: float, variance: float, first: int, last: int) -> np.ndarr
 
     Each |k|^{2H} is one Python float power, libm's pow (np.power
     differs from it in the last bit on some lags), taken once per lag
-    and shared by the three lags that use it; the terms combine in the
+    as the lags stream into one array, with no list of them, and shared
+    by the three lags that use it; the terms combine in place, in the
     closed form's order, so a lag gets the same double whichever range
     holds it. generate_fgn needs lags 0..N once per (H, variance, N),
-    through _root_spectrum.
+    through _root_spectrum: one array of N+2 powers and the N+1 results.
     """
     two_h = 2.0 * hurst
     base = max(first - 1, 0)
-    lags = np.arange(base, last + 2, dtype=float).tolist()
-    power = np.fromiter(map(pow, lags, repeat(two_h)), float, len(lags))
-    lag = np.arange(first, last + 1)
-    return 0.5 * variance * ((power[lag + 1 - base] - 2.0 * power[lag - base])
-                             + power[np.abs(lag - 1) - base])
+    # count's float steps are exact: every lag is an integer below 2**53
+    power = np.fromiter(map(pow, count(float(base)), repeat(two_h)), float, last + 2 - base)
+    # power[i] is |base + i|^{2H}; k's terms are power[k + 1 - base], power[k - base]
+    # and power[|k - 1| - base], where lag 0's |k - 1| term is power[1]
+    lo = first - base
+    gamma = 2.0 * power[lo:-1]
+    np.subtract(power[lo + 1:], gamma, out=gamma)
+    if first == 0:
+        gamma[0] += power[1]
+        gamma[1:] += power[:-2]
+    else:
+        gamma += power[:-2]
+    gamma *= 0.5 * variance
+    return gamma
 
 
 def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     """Spectrum of the length-2N circulant embedding of gamma(0..N).
 
-    First row is [g0, ..., g_{N-1}, g_N, g_{N-1}, ..., g_1]. Eigenvalues
-    more negative than -tol*max abort; small negatives are clamped to 0.
+    First row is [g0, ..., g_{N-1}, g_N, g_{N-1}, ..., g_1], built as the
+    complex row (zero imaginary part) that the FFT would cast the real
+    one to, so the FFT makes no copy of it. Eigenvalues more negative
+    than -tol*max abort; small negatives are clamped to 0 in place
+    (-0.0 and NaN are kept, as np.where keeps them).
     """
     n = gamma.size - 1
-    row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[1:n][::-1]])
-    lam = np.fft.fft(row).real
+    row = np.zeros(2 * n, dtype=complex)
+    row.real[:n + 1] = gamma
+    row.real[n + 1:] = gamma[n - 1:0:-1]
+    spectrum = np.fft.fft(row)
+    del row
+    lam = spectrum.real.copy()
     lam_max = lam.max()
     if lam.min() < -EMBEDDING_TOLERANCE * lam_max:
         raise SynthesisError(
             f"circulant embedding is not nonnegative definite "
             f"(min eigenvalue {lam.min():.3e} vs max {lam_max:.3e})"
         )
-    return np.where(lam < 0.0, 0.0, lam)
+    lam[lam < 0.0] = 0.0
+    return lam
 
 
 @lru_cache(maxsize=_ROOT_SPECTRUM_CACHE_SIZE)
@@ -191,7 +209,8 @@ def _root_spectrum(hurst: float, variance: float, length: int) -> np.ndarray:
     doubles, at most 4 x 16*length bytes in all (16 MB at 2^20). A
     SynthesisError is not cached: it is raised again on every call.
     """
-    root = np.sqrt(_embedding_eigenvalues(_fgn_gamma(hurst, variance, 0, length)))
+    root = _embedding_eigenvalues(_fgn_gamma(hurst, variance, 0, length))
+    np.sqrt(root, out=root)
     root.flags.writeable = False
     return root
 
@@ -203,7 +222,9 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     zero mean. Output is deterministic given the spec seed. The root
     spectrum depends only on (H, variance, N) and is built once per
     parameter set (_root_spectrum); only the normals and the inverse FFT
-    are drawn per call.
+    are drawn per call. The spectral draw is filled in place and the
+    normals are freed before the inverse FFT, so a call holds little more
+    than the FFT's complex input and output of 2N points each.
     """
     n = spec.length
     root = _root_spectrum(spec.hurst, spec.variance, n)
@@ -211,10 +232,15 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     g = np.empty(2 * n, dtype=complex)
     g[0] = z[0]
     g[n] = z[1]
-    g[1:n] = (z[2:n + 1] + 1j * z[n + 1:2 * n]) / np.sqrt(2.0)
-    g[n + 1:] = np.conj(g[1:n][::-1])
+    inner = g[1:n]  # (z_lo + i z_hi) / sqrt(2), filled in place
+    np.multiply(1j, z[n + 1:2 * n], out=inner)
+    np.add(z[2:n + 1], inner, out=inner)
+    np.divide(inner, np.sqrt(2.0), out=inner)
+    np.conjugate(inner[::-1], out=g[n + 1:])
+    del z, inner  # inner is a view of g: it would keep the FFT input alive
     g *= root
-    samples = np.fft.ifft(g).real[:n] * np.sqrt(2.0 * n)
+    g = np.fft.ifft(g)  # frees the FFT's input before the scaling below
+    samples = g.real[:n] * np.sqrt(2.0 * n)
     return Trace(samples, trace_meta("fgn", _spec_params(spec), spec.seed, _timestamp()))
 
 

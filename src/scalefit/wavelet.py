@@ -101,9 +101,15 @@ class LogscaleDiagram:
 
 
 def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    taps = lo.size
-    idx = (2 * np.arange(a.size // 2)[:, None] + np.arange(taps)) % a.size
-    windows = a[idx]
+    """One level: row k of the windows is a[2k], ..., a[2k + taps - 1],
+    indices taken modulo a.size. The windows are filled two columns at a
+    time from the series repeated periodically to a.size + taps - 2
+    samples, which also covers a filter longer than the series."""
+    n, taps = a.size, lo.size
+    wrapped = np.resize(a, n + taps - 2)
+    windows = np.empty((n // 2, taps))
+    for k in range(0, taps, 2):
+        windows[:, k:k + 2] = wrapped[k:k + n].reshape(n // 2, 2)
     return windows @ lo, windows @ hi
 
 
@@ -113,7 +119,9 @@ def dwt(series, spec: WaveletSpec) -> DwtResult:
     The input length must be a positive multiple of 2**levels. Periodic
     boundary handling preserves exact orthonormality, so the transform
     conserves energy (Parseval); coefficients whose filter support
-    wraps around the boundary see the series as circular.
+    wraps around the boundary see the series as circular. Each level
+    fills its filter windows with slices of the series repeated
+    periodically (_analysis_step), with no index array.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:

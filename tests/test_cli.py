@@ -148,11 +148,11 @@ INVALID_FLAGS = [
      "--length must be a power of two >= 16, got 1000"),
     # --depth is gone under every model: --length sizes the cascade
     (["generate", "--model", "cascade", "--depth", 1, "--out", "{out}"],
-     "scalefit: error: unrecognized arguments: --depth 1"),
+     "scalefit generate: error: unrecognized arguments: --depth 1"),
     (["generate", "--model", "multifractal", "--length", 1024, "--depth", 9,
-      "--out", "{out}"], "scalefit: error: unrecognized arguments: --depth 9"),
+      "--out", "{out}"], "scalefit generate: error: unrecognized arguments: --depth 9"),
     (["generate", "--model", "fgn", "--depth", 1, "--length", 1024, "--out", "{out}"],
-     "scalefit: error: unrecognized arguments: --depth 1"),
+     "scalefit generate: error: unrecognized arguments: --depth 1"),
     (["generate", "--model", "fgn", "--variance", "inf", "--out", "{out}"],
      "--variance must be finite and positive, got inf"),
     (["generate", "--model", "cascade", "--multiplier", "inf", "--out", "{out}"],
@@ -239,10 +239,12 @@ def test_library_messages_name_fields(build, message):
     ["aggregate", "{trace}", "--scale", 0, "--out", "{out}"],
     ["report", "no_such_trace.csv", "--outdir", "{out}"],
     ["generate", "--model", "fgn", "--length", 1000, "--out", "{out}"],
+    ["generate", "--model", "cascade", "--length", 1024, "--depth", 10, "--out", "{out}"],
 ], ids=lambda argv: " ".join(str(a) for a in argv if "{" not in str(a)))
 def test_owner_rule_error_names_subcommand(fgn_trace, tmp_path, capsys, argv):
-    """Rules checked after parsing report like argparse's own errors: the
-    subcommand's usage line and a "scalefit <cmd>: error:" prefix."""
+    """Rules checked after parsing, and unknown flags, report like argparse's
+    own errors: the subcommand's usage line and a "scalefit <cmd>: error:"
+    prefix."""
     out = tmp_path / "out"
     code, captured = run_expecting_exit(
         capsys, *[str(a).format(trace=fgn_trace, out=out) for a in argv])

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalefit import synth
+from scalefit.rng import make_rng, standard_normals
 from scalefit.synth import (
     CascadeSpec,
     FgnSpec,
@@ -208,6 +211,109 @@ class TestEmbeddingGuard:
         gamma = np.array([fgn_autocovariance(0.9, 1.0, k) for k in range(17)])
         lam = _embedding_eigenvalues(gamma)
         assert np.all(lam >= 0.0)
+
+
+# The synthesis before it streamed its lags and filled its buffers in
+# place: a lag list and index gathers, a real circulant row, np.where,
+# and Box-Muller on fresh arrays. The in-place code must give the same bytes.
+def _reference_fgn_gamma(hurst, variance, first, last):
+    two_h = 2.0 * hurst
+    base = max(first - 1, 0)
+    lags = np.arange(base, last + 2, dtype=float).tolist()
+    power = np.fromiter(map(pow, lags, repeat(two_h)), float, len(lags))
+    lag = np.arange(first, last + 1)
+    return 0.5 * variance * ((power[lag + 1 - base] - 2.0 * power[lag - base])
+                             + power[np.abs(lag - 1) - base])
+
+
+def _reference_eigenvalues(gamma):
+    n = gamma.size - 1
+    row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[1:n][::-1]])
+    lam = np.fft.fft(row).real
+    return np.where(lam < 0.0, 0.0, lam)
+
+
+def _reference_normals(rng, count):
+    pairs = (count + 1) // 2
+    u = rng.random(2 * pairs)
+    u1 = 1.0 - u[0::2]
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:count]
+
+
+def _reference_fgn(hurst, variance, n, seed):
+    root = np.sqrt(_reference_eigenvalues(_reference_fgn_gamma(hurst, variance, 0, n)))
+    z = _reference_normals(make_rng(seed), 2 * n)
+    g = np.empty(2 * n, dtype=complex)
+    g[0] = z[0]
+    g[n] = z[1]
+    g[1:n] = (z[2:n + 1] + 1j * z[n + 1:2 * n]) / np.sqrt(2.0)
+    g[n + 1:] = np.conj(g[1:n][::-1])
+    g *= root
+    return np.fft.ifft(g).real[:n] * np.sqrt(2.0 * n)
+
+
+HURSTS = [0.05, 0.3, 0.5, 0.8, 0.95]
+
+
+class TestInPlaceSynthesisBytes:
+    @pytest.mark.parametrize("hurst", HURSTS)
+    @pytest.mark.parametrize("first, last", [(0, 0), (0, 1), (0, 2**17), (1, 1), (1, 300),
+                                             (2, 2), (2, 3), (5, 4096), (1000, 1031)])
+    def test_gamma(self, hurst, first, last):
+        assert (_fgn_gamma(hurst, 1.7, first, last).tobytes()
+                == _reference_fgn_gamma(hurst, 1.7, first, last).tobytes())
+
+    @pytest.mark.parametrize("hurst", HURSTS)
+    @pytest.mark.parametrize("n", [16, 2**10, 2**17])
+    def test_eigenvalues_and_root(self, hurst, n):
+        gamma = _fgn_gamma(hurst, 2.5, 0, n)
+        lam = _reference_eigenvalues(gamma)
+        assert _embedding_eigenvalues(gamma).tobytes() == lam.tobytes()
+        assert _root_spectrum(hurst, 2.5, n).tobytes() == np.sqrt(lam).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 1000, 1001, 2**17 + 1])
+    def test_normals(self, count):
+        assert (standard_normals(make_rng(11), count).tobytes()
+                == _reference_normals(make_rng(11), count).tobytes())
+
+    @pytest.mark.parametrize("hurst", HURSTS)
+    @pytest.mark.parametrize("n, seed", [(16, 0), (2**12, 3), (2**17, 5)])
+    def test_generate_fgn(self, hurst, n, seed):
+        samples = generate_fgn(FgnSpec(hurst, n, 1.3, seed)).samples
+        assert samples.tobytes() == _reference_fgn(hurst, 1.3, n, seed).tobytes()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSynthesisPeak:
+    """Traced peaks at 2^17 (one N-double is 1 MiB). What is left is the
+    FFTs' own: a complex input and output of 2N each, 8 N-doubles."""
+
+    N = 2**17
+
+    def test_cold_root_spectrum(self):
+        """gamma (N), the complex row and its spectrum (4N each): 9.1 N-doubles;
+        the lag list, index gathers and cast row peaked at 11.0."""
+        _root_spectrum.cache_clear()
+        assert _traced_peak(lambda: _root_spectrum(0.8, 1.0, self.N)) < 10 * 8 * self.N
+
+    def test_warm_generate_fgn(self):
+        """The ifft's input and output (4N each), the normals freed first:
+        8.0 N-doubles; a fresh array per ufunc step peaked at 11.0."""
+        generate_fgn(FgnSpec(0.8, self.N, 1.0, 1))
+        assert _traced_peak(lambda: generate_fgn(FgnSpec(0.8, self.N, 1.0, 2))) < 9 * 8 * self.N
 
 
 class TestGenerateCascade:

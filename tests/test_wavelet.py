@@ -7,8 +7,10 @@ from scalefit.cumulants import cumulant_scaling_table
 from scalefit.scaling import detect_knee, fit_loglog
 from scalefit.synth import FgnSpec, generate_fgn
 from scalefit.wavelet import (
+    FAMILIES,
     LogscaleDiagram,
     WaveletSpec,
+    _filters,
     dwt,
     logscale_diagram,
     max_levels,
@@ -101,6 +103,32 @@ class TestDwt:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             WaveletSpec("sym8", 3)
+
+
+def _reference_dwt(x, family, levels):
+    """The pyramid with each level's windows gathered by a modulo index."""
+    lo, hi = _filters(family)
+    a, details = x, []
+    for _ in range(levels):
+        idx = (2 * np.arange(a.size // 2)[:, None] + np.arange(lo.size)) % a.size
+        windows = a[idx]
+        a = windows @ lo
+        details.append(windows @ hi)
+    return details, a
+
+
+class TestDwtWindows:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [2, 4, 6, 16, 48, 64, 3 * 2**9, 2**12, 2**17])
+    def test_matches_modulo_gather(self, family, n):
+        """Byte for byte at every level, down to the coarsest, where db4's
+        4 taps wrap a series of 2 or 4 samples more than once."""
+        x = np.random.default_rng(n).normal(size=n)
+        levels = (n & -n).bit_length() - 1
+        result = dwt(x, WaveletSpec(family, levels))
+        details, approximation = _reference_dwt(x, family, levels)
+        assert [d.tobytes() for d in result.details] == [d.tobytes() for d in details]
+        assert result.approximation.tobytes() == approximation.tobytes()
 
 
 class TestLogscaleDiagram:
