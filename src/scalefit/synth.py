@@ -176,19 +176,20 @@ def _fgn_gamma(hurst: float, variance: float, first: int, last: int) -> np.ndarr
 def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     """Spectrum of the length-2N circulant embedding of gamma(0..N).
 
-    First row is [g0, ..., g_{N-1}, g_N, g_{N-1}, ..., g_1], built as the
-    complex row (zero imaginary part) that the FFT would cast the real
-    one to, so the FFT makes no copy of it. Eigenvalues more negative
-    than -tol*max abort; small negatives are clamped to 0 in place
-    (-0.0 and NaN are kept, as np.where keeps them).
+    First row is [g0, ..., g_{N-1}, g_N, g_{N-1}, ..., g_1], built as a
+    complex row (zero imaginary part) that the FFT overwrites with the
+    spectrum, so the transform needs no second 2N-point buffer. Its real
+    part is copied out, and the row freed, before the checks.
+    Eigenvalues more negative than -tol*max abort; small negatives are
+    clamped to 0 in place (-0.0 and NaN are kept, as np.where keeps them).
     """
     n = gamma.size - 1
     row = np.zeros(2 * n, dtype=complex)
     row.real[:n + 1] = gamma
     row.real[n + 1:] = gamma[n - 1:0:-1]
-    spectrum = np.fft.fft(row)
+    np.fft.fft(row, out=row)
+    lam = row.real.copy()
     del row
-    lam = spectrum.real.copy()
     lam_max = lam.max()
     if lam.min() < -EMBEDDING_TOLERANCE * lam_max:
         raise SynthesisError(
@@ -222,9 +223,10 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     zero mean. Output is deterministic given the spec seed. The root
     spectrum depends only on (H, variance, N) and is built once per
     parameter set (_root_spectrum); only the normals and the inverse FFT
-    are drawn per call. The spectral draw is filled in place and the
-    normals are freed before the inverse FFT, so a call holds little more
-    than the FFT's complex input and output of 2N points each.
+    are drawn per call. The spectral draw is filled in place, the normals
+    are freed before the inverse FFT, and the inverse FFT overwrites the
+    draw, so a call holds little more than one complex buffer of 2N
+    points.
     """
     n = spec.length
     root = _root_spectrum(spec.hurst, spec.variance, n)
@@ -237,9 +239,9 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     np.add(z[2:n + 1], inner, out=inner)
     np.divide(inner, np.sqrt(2.0), out=inner)
     np.conjugate(inner[::-1], out=g[n + 1:])
-    del z, inner  # inner is a view of g: it would keep the FFT input alive
+    del z  # the normals are freed before the inverse FFT
     g *= root
-    g = np.fft.ifft(g)  # frees the FFT's input before the scaling below
+    np.fft.ifft(g, out=g)
     samples = g.real[:n] * np.sqrt(2.0 * n)
     return Trace(samples, trace_meta("fgn", _spec_params(spec), spec.seed, _timestamp()))
 

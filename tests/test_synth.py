@@ -299,21 +299,23 @@ def _traced_peak(call):
 
 class TestSynthesisPeak:
     """Traced peaks at 2^17 (one N-double is 1 MiB). What is left is the
-    FFTs' own: a complex input and output of 2N each, 8 N-doubles."""
+    FFTs' own: one complex buffer of 2N, 4 N-doubles, that each transform
+    overwrites in place."""
 
     N = 2**17
 
     def test_cold_root_spectrum(self):
-        """gamma (N), the complex row and its spectrum (4N each): 9.1 N-doubles;
-        the lag list, index gathers and cast row peaked at 11.0."""
+        """gamma (N), the complex row the fft overwrites (4N) and its real
+        part (2N): 7.1 N-doubles; a separate fft output peaked at 9.1."""
         _root_spectrum.cache_clear()
-        assert _traced_peak(lambda: _root_spectrum(0.8, 1.0, self.N)) < 10 * 8 * self.N
+        assert _traced_peak(lambda: _root_spectrum(0.8, 1.0, self.N)) < 8 * 8 * self.N
 
     def test_warm_generate_fgn(self):
-        """The ifft's input and output (4N each), the normals freed first:
-        8.0 N-doubles; a fresh array per ufunc step peaked at 11.0."""
+        """The normals (2N) and the draw built from them (4N), which the
+        ifft overwrites once the normals are freed: 6.1 N-doubles; a
+        separate ifft output peaked at 8.0."""
         generate_fgn(FgnSpec(0.8, self.N, 1.0, 1))
-        assert _traced_peak(lambda: generate_fgn(FgnSpec(0.8, self.N, 1.0, 2))) < 9 * 8 * self.N
+        assert _traced_peak(lambda: generate_fgn(FgnSpec(0.8, self.N, 1.0, 2))) < 7 * 8 * self.N
 
 
 class TestGenerateCascade:
