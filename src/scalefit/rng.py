@@ -5,7 +5,11 @@ counter-based bit generator keyed directly with the user-supplied seed,
 so identical seeds give bit-identical streams. Gaussian variates are
 produced by an explicit Box-Muller transform of uniform pairs rather
 than a rejection sampler, which keeps the mapping seed -> output fixed
-and platform-independent up to libm rounding.
+and platform-independent up to libm rounding. Cascade multipliers are
+numpy's Generator.beta draws on the same key jumped 2**128 draws ahead
+(synth._cascade_masses), a block the Box-Muller uniforms never reach;
+numpy's stream-compatibility policy covers raw uniforms, not beta
+variates, so that stream is pinned by tests rather than promised.
 """
 from __future__ import annotations
 

@@ -247,20 +247,21 @@ def generate_fgn(spec: FgnSpec) -> Trace:
 
 
 def _cascade_masses(spec: CascadeSpec) -> np.ndarray:
-    masses = np.array([spec.total_mass])
-    # imported here, so that only drawing Beta multipliers loads scipy
-    from scipy.special import betaincinv
-
-    rng = make_rng(spec.seed)
+    """The cascade's 2**depth cell masses. All 2**depth - 1 multipliers
+    come from one Generator.beta call on the spec seed's Philox key,
+    jumped 2**128 draws ahead: generate_fgn with the same seed reads
+    only the first 2N uniforms of that key, so the two never share a
+    draw. Level d splits its 2**d masses with the next 2**d multipliers,
+    left to right."""
+    rng = np.random.Generator(make_rng(spec.seed).bit_generator.jumped())
     a = spec.multiplier_param
+    w = rng.beta(a, a, 2**spec.depth - 1)
+    masses = np.array([spec.total_mass])
     for _ in range(spec.depth):
-        u = rng.random(masses.size)
-        # keep W strictly inside (0, 1) even on the measure-zero u = 0 draw
-        u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
-        w = betaincinv(a, a, u)
+        split = w[masses.size - 1:2 * masses.size - 1]
         children = np.empty(2 * masses.size)
-        children[0::2] = masses * w
-        children[1::2] = masses * (1.0 - w)
+        children[0::2] = masses * split
+        children[1::2] = masses * (1.0 - split)
         masses = children
     return masses
 
@@ -268,10 +269,12 @@ def _cascade_masses(spec: CascadeSpec) -> np.ndarray:
 def generate_cascade(spec: CascadeSpec) -> Trace:
     """Conservative binary cascade measure on 2**depth dyadic cells.
 
-    Splits are drawn level by level, left to right: one uniform per
-    split, mapped through the Beta(a, a) inverse CDF. Every split
-    partitions the parent mass exactly, so the sample total equals
-    total_mass up to floating-point rounding and all cells are >= 0.
+    Every split draws W ~ Beta(a, a) from the cascade's own stream
+    (_cascade_masses) and gives the left child W and the right 1 - W of
+    the parent mass. Every split partitions the parent mass, so the
+    sample total equals total_mass up to floating-point rounding and all
+    cells are >= 0 (a split of W = 0 or 1, possible for a tiny a, leaves
+    a cell of exactly 0).
     """
     return Trace(_cascade_masses(spec),
                  trace_meta("cascade", _spec_params(spec), spec.seed, _timestamp()))
@@ -288,9 +291,9 @@ def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     """Cascade-modulated composite: x(k) * sqrt(N * mu(k)).
 
     mu is the cascade measure normalized to unit total, so the expected
-    energy of the composite equals that of the underlying fGn x. Equal
-    fgn and cascade seeds key both with one Philox stream: the cascade's
-    2**depth - 1 uniforms are then the first of the fGn's.
+    energy of the composite equals that of the underlying fGn x. The
+    cascade draws from a Philox block the fGn never reaches, so the two
+    are independent even when their seeds are equal.
     """
     check_composite(fgn, cascade)
     base = generate_fgn(fgn)

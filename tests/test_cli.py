@@ -253,25 +253,20 @@ def test_owner_rule_error_names_subcommand(fgn_trace, tmp_path, capsys, argv):
     assert f"scalefit {argv[0]}: error: " in captured.err
 
 
-def test_import_loads_no_scipy_until_cascade(tmp_path):
-    """Importing the package and the CLI, and an fGn generate -> report,
-    load no scipy module; the cascade models import it when they run."""
+def test_runs_with_scipy_blocked(tmp_path):
+    """scipy is no dependency: with every scipy import made to fail, the
+    package and the CLI import, each generate model runs, and so does a
+    report on each trace, which loads no numpy.ma either."""
     script = """
 import sys
+sys.modules["scipy"] = None
 import scalefit, scalefit.cli
 from scalefit.cli import main
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-assert scipy_loaded() == [], scipy_loaded()
-assert main(["generate", "--model", "fgn", "--length", "4096", "--out", "f.csv"]) == 0
-assert main(["report", "f.csv", "--outdir", "rep"]) == 0
-assert scipy_loaded() == [], scipy_loaded()
+for model in ("fgn", "cascade", "multifractal"):
+    assert main(["generate", "--model", model, "--length", "4096", "--out", model + ".csv"]) == 0
+    assert main(["report", model + ".csv", "--outdir", model + "-rep"]) == 0
 assert "numpy.ma" not in sys.modules
-assert main(["generate", "--model", "cascade", "--length", "1024", "--out", "c.csv"]) == 0
-assert main(["generate", "--model", "multifractal", "--length", "1024", "--out", "m.csv"]) == 0
-assert "scipy.special" in scipy_loaded()
 """
     env = dict(os.environ, PYTHONPATH=str(Path(scalefit.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
@@ -363,17 +358,20 @@ class TestLocality:
 
     def test_short_curve_no_knee_line(self, tmp_path, capsys):
         """A curve too short for detect_knee is still written: locality
-        prints the reason report records under omitted_knees, exits 0."""
+        prints the reason report records under omitted_knees, exits 0.
+        A 1024-cell cascade has 8 dyadic scales, so its 4-octave curve
+        has at most 5 points, whatever the stream draws."""
         trace, out = tmp_path / "cascade.csv", tmp_path / "c.csv"
-        assert run("generate", "--model", "cascade", "--length", 4096, "--seed", 5,
+        assert run("generate", "--model", "cascade", "--length", 1024, "--seed", 5,
                    "--out", trace) == 0
         capsys.readouterr()
         assert run("locality", trace, "--order", 3, "--out", out) == 0
         captured = capsys.readouterr()
+        points = len(out.read_text().splitlines()) - 1
+        assert points < 6
         assert captured.out.splitlines()[1:] == [
-            "no knee: knee detection needs at least 6 points, got 5", f"wrote {out}"]
+            f"no knee: knee detection needs at least 6 points, got {points}", f"wrote {out}"]
         assert captured.err == ""
-        assert len(out.read_text().splitlines()) == 1 + 5
 
     def test_wavelet_zero_energy_octave_left_out(self, tmp_path, capsys):
         """Haar octave 1 of a trace with every sample repeated twice is
@@ -459,19 +457,24 @@ class TestReport:
     def test_short_locality_curve_omits_its_knee(self, tmp_path):
         """A locality curve too short for detect_knee loses its knees.csv
         row, with the reason in the manifest; the rest of the bundle is
-        written."""
+        written. A 1024-cell cascade has 8 dyadic scales and 7 db4
+        octaves, so neither 4-octave curve reaches the 6 points a knee
+        needs, whatever the stream draws."""
         trace = tmp_path / "cascade.csv"
-        assert run("generate", "--model", "cascade", "--length", 4096, "--seed", 5,
+        assert run("generate", "--model", "cascade", "--length", 1024, "--seed", 5,
                    "--out", trace) == 0
         outdir = tmp_path / "rep"
         assert run("report", trace, "--outdir", outdir, "--max-order", 6, "--order", 3) == 0
         assert len(os.listdir(outdir)) == 7
-        rows = (outdir / "knees.csv").read_text().splitlines()
-        assert rows[0] == "method,octave,left_slope,right_slope,sse_reduction,significant"
-        assert [row.split(",")[0] for row in rows[1:]] == ["wavelet"]
+        assert (outdir / "knees.csv").read_text().splitlines() == [
+            "method,octave,left_slope,right_slope,sse_reduction,significant"]
+        points = {method: len((outdir / f"locality_{method}.csv").read_text().splitlines()) - 1
+                  for method in ("cumulant", "wavelet")}
+        assert max(points.values()) < 6
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["omitted_knees"] == {
-            "cumulant": "knee detection needs at least 6 points, got 5"}
+            method: f"knee detection needs at least 6 points, got {k}"
+            for method, k in points.items()}
 
     def test_aggregated_trace_any_length(self, tmp_path, capsys):
         """aggregate --scale 3 of 2^12 samples leaves 1365: the wavelet path
@@ -503,6 +506,21 @@ class TestReport:
             "trace loaded with empty metadata",
             *(f"scalefit report: warning: fit_loglog(order={m}): estimated Hurst exponent "
               f"{h} lies outside (0, 1); reported unclamped" for m, h in ((2, 1.008), (4, 1.003)))]
+
+    @pytest.mark.parametrize("model", ["cascade", "multifractal"])
+    def test_tiny_shape_trace(self, model, tmp_path, capsys):
+        """A Beta(0.01, 0.01) cascade splits some masses into exact 0 and
+        1 shares, leaving runs of zero cells: report on it, or on its
+        composite, ends in an exit code, never a traceback, and every
+        stderr line is the command's own."""
+        trace = tmp_path / "tiny.csv"
+        assert run("generate", "--model", model, "--multiplier", 0.01, "--length", 65536,
+                   "--seed", 3, "--out", trace) == 0
+        for flags in ((), ("--max-order", 6, "--order", 3)):
+            capsys.readouterr()
+            assert run("report", trace, "--outdir", tmp_path / "rep", *flags) in (0, 1, 2)
+            assert all(line.startswith("scalefit report: ")
+                       for line in capsys.readouterr().err.splitlines())
 
     def test_rerun_byte_identical(self, fgn_trace, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import scalefit
 
 ROOT = Path(__file__).parents[1]
 SCRIPT = ROOT / "scripts" / "reproduce_locality.py"
+STAGES = ROOT / "scripts" / "bench_stages.py"
 
 
 def _env():
@@ -38,3 +40,27 @@ def test_readme_library_example():
     result = subprocess.run([sys.executable, "-c", blocks[0]], env=_env(),
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_bench_stages_smoke(tmp_path):
+    """At 2^12, one run each: every stage of the chain has its time and
+    its page-fault count, and each CLI step its wall time and peak RSS."""
+    out = tmp_path / "bench.json"
+    result = subprocess.run([sys.executable, str(STAGES), "--out", str(out),
+                             "--log2-sizes", "12", "--repeats", "1"],
+                            env=_env(), capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    record = json.loads(out.read_text())
+    assert {"cpu_model", "logical_cpus", "python", "numpy"} <= set(record["host"])
+    size = record["sizes"]["2^12"]
+    assert set(size["stages"]) == {
+        "generate_fgn", "generate_cascade", "generate_multifractal", "write_trace",
+        "read_trace", "build_pyramid", "cumulant_scaling_table", "logscale_diagram",
+        "fit_loglog", "hurst_spectrum", "wavelet_hurst", "locality_curve",
+        "wavelet_locality_curve", "detect_knee_cumulant", "detect_knee_wavelet"}
+    for stage in size["stages"].values():
+        assert stage["min_s"] > 0 and len(stage["minflt"]) == 1
+    for model in ("fgn", "multifractal"):
+        for step in ("generate", "report"):
+            assert size["cli"][model][step]["min_wall_s"] > 0
+            assert size["cli"][model][step]["peak_rss_mb"] > 0

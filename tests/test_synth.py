@@ -145,7 +145,15 @@ FGN_DIGESTS = {
     (0.8, 2**12, 1): "51d589ccc866b71c7274356b3a9a8b3587296206f248a9d2ca9bcb493f7d3f8f",
     (0.8, 2**16, 7): "c650ff9c90eef8772eb739fd1d2aa6e8850f6af52b93990c96a7412c046ff396",
 }
-COMPOSITE_DIGEST = "951c9a01e0bf8bd16f9941be290e420dfefc8b72d5fbe5844bbeb63f0ebf22c6"
+# the composite and cascade streams, Beta multipliers drawn by
+# Generator.beta on the seed's jumped Philox block: numpy promises no
+# stream compatibility for beta variates, so a numpy that changes them
+# fails here; a=2 takes numpy's gamma-ratio path, a=0.5 Johnk's method
+COMPOSITE_DIGEST = "0aaead08cd5181e8779a3c8b50cff000846a28fd8bdb24ed695fa5d002e9878d"
+CASCADE_DIGESTS = {
+    (2.0, 12, 3): "7e062e1cd5a12fb2d76f4327ae0ad4e0de7721ff41f23dd546dbdbcc6890142e",
+    (0.5, 12, 3): "13852c3686d91be84f0f0767140447218e689fa3aa730b21253424e1ca2bc989",
+}
 
 
 def _digest(trace):
@@ -162,6 +170,11 @@ class TestRootSpectrumCache:
     def test_composite_stream_unchanged(self):
         trace = generate_multifractal(FgnSpec(0.7, 2**12, 1.0, 1), CascadeSpec(12, 2.0, 1.0, 2))
         assert _digest(trace) == COMPOSITE_DIGEST
+
+    @pytest.mark.parametrize("key", sorted(CASCADE_DIGESTS))
+    def test_cascade_stream_unchanged(self, key):
+        shape, depth, seed = key
+        assert _digest(generate_cascade(CascadeSpec(depth, shape, 1.0, seed))) == CASCADE_DIGESTS[key]
 
     def test_variance_is_part_of_the_key(self):
         a = generate_fgn(FgnSpec(0.8, 2**10, 1.0, 3)).samples
@@ -355,6 +368,77 @@ class TestGenerateCascade:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             CascadeSpec(4, 2.0, -1.0, 0)
+
+
+def _cascade_rng(seed):
+    return np.random.Generator(make_rng(seed).bit_generator.jumped())
+
+
+def _reference_cascade(spec):
+    """The cascade drawn level by level, one beta call per level."""
+    rng = _cascade_rng(spec.seed)
+    a = spec.multiplier_param
+    masses = np.array([spec.total_mass])
+    for _ in range(spec.depth):
+        w = rng.beta(a, a, masses.size)
+        children = np.empty(2 * masses.size)
+        children[0::2] = masses * w
+        children[1::2] = masses * (1.0 - w)
+        masses = children
+    return masses
+
+
+def _multipliers(masses):
+    """Each split's left share, level by level, read back from the cells."""
+    shares = []
+    while masses.size > 1:
+        pairs = masses.reshape(-1, 2)
+        parent = pairs.sum(axis=1)
+        shares.insert(0, pairs[:, 0] / parent)
+        masses = parent
+    return np.concatenate(shares)
+
+
+class TestCascadeStream:
+    @pytest.mark.parametrize("shape", [2.0, 0.5])
+    def test_one_draw_is_the_level_draws(self, shape):
+        """One beta call of 2**depth - 1 values gives the bytes of one call
+        per level, and the cascade built from the level draws."""
+        depth, seed = 10, 4
+        one = _cascade_rng(seed).beta(shape, shape, 2**depth - 1)
+        rng = _cascade_rng(seed)
+        levels = np.concatenate([rng.beta(shape, shape, 2**d) for d in range(depth)])
+        assert one.tobytes() == levels.tobytes()
+        spec = CascadeSpec(depth, shape, 1.5, seed)
+        assert generate_cascade(spec).samples.tobytes() == _reference_cascade(spec).tobytes()
+
+    def test_not_the_fgn_uniform_prefix(self):
+        """With equal seeds the composite's cascade shares no draw with its
+        fGn: the Beta(2,2) CDF 3w^2 - 2w^3 of each multiplier, read back
+        from the composite, is none of the 2N uniforms the fGn's normals
+        come from (an inverse-CDF cascade on the fGn's stream had them
+        equal, one by one)."""
+        depth, seed = 8, 7
+        n = 2**depth
+        x = generate_fgn(FgnSpec(0.7, n, 1.0, seed)).samples
+        y = generate_multifractal(FgnSpec(0.7, n, 1.0, seed), CascadeSpec(depth, 2.0, 1.0, seed))
+        w = _multipliers((y.samples / x) ** 2)
+        u = w * w * (3.0 - 2.0 * w)
+        prefix = make_rng(seed).random(2 * n)
+        assert not np.isclose(u[:, None], prefix[None, :], rtol=0.0, atol=1e-9).any()
+
+    def test_tiny_shape_exact_zero_and_one_multipliers(self):
+        """Beta(0.01, 0.01) draws exact 0.0 and 1.0 multipliers: the cells
+        stay >= 0, some exactly 0, the mass is conserved and the composite
+        is finite."""
+        spec = CascadeSpec(16, 0.01, 1.0, 3)
+        w = _cascade_rng(3).beta(0.01, 0.01, 2**16 - 1)
+        assert ((w == 0.0).sum(), (w == 1.0).sum()) == (17, 22643)
+        masses = generate_cascade(spec).samples
+        assert np.all(masses >= 0.0) and np.any(masses == 0.0)
+        assert abs(math.fsum(masses) - 1.0) <= 2.0**-40
+        composite = generate_multifractal(FgnSpec(0.7, 2**16, 1.0, 3), spec).samples
+        assert np.all(np.isfinite(composite))
 
 
 class TestGenerateMultifractal:
