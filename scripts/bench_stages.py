@@ -5,11 +5,17 @@ For each trace length 2**L it runs the chain in one process, stage by
 stage: the three generators, write_trace, read_trace, build_pyramid,
 the cumulant table, logscale_diagram, the fits, the locality curves and
 the knees. Each stage runs --repeats times on the same input and keeps
-the minimum wall time (timings here are bimodal with allocation
-history, so the minimum is the stable figure) and the minor page faults
-(ru_minflt) of each run. Then it times the CLI's generate -> report as
-child processes, fGn and composite, with each child's wall time and
-peak RSS. BLAS and OpenMP are capped at one thread, as in bench/run.py.
+every run's wall time (runs_s), their minimum (min_s) and the minor
+page faults (ru_minflt) of each run. Then it times the CLI's generate
+-> report as child processes, fGn and composite, with every child's
+wall time (runs_s), their minimum and the peak RSS. BLAS and OpenMP are
+capped at one thread, as in bench/run.py.
+
+The figures describe one tree on one host. Timings here are bimodal
+with allocation history, and on a shared host the minimum of a few runs
+moves 1.3-1.8x between back-to-back runs of the same tree, so runs_s
+shows that spread beside min_s. A before/after claim needs bench/run.py's
+pairs, which alternate the two trees run after run.
 
 Usage (from the repository root):
 
@@ -123,7 +129,7 @@ def time_stages(log2n: int, repeats: int, workdir: Path) -> dict:
             out[name] = call()
             seconds.append(time.perf_counter() - t0)
             minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
-        result[name] = {"min_s": min(seconds), "first_s": seconds[0], "minflt": minflt}
+        result[name] = {"min_s": min(seconds), "runs_s": seconds, "minflt": minflt}
     return result
 
 
@@ -167,6 +173,7 @@ def time_cli(log2n: int, repeats: int, workdir: Path) -> dict:
             runs["report"].append(run_child(
                 ["report", trace, "--outdir", f"rep_{model}_{log2n}"], workdir))
         result[model] = {step: {"min_wall_s": min(r["wall_s"] for r in rs),
+                                "runs_s": [r["wall_s"] for r in rs],
                                 "peak_rss_mb": max(r["peak_rss_mb"] for r in rs)}
                          for step, rs in runs.items()}
     return result

@@ -2,7 +2,9 @@
 # End to end through the installed `scalefit` console script (after
 # `pip install .`): generate -> report on an fGn trace, on its
 # `aggregate --scale 3` output, on a composite and on a cascade, each
-# bundle complete;
+# bundle complete; hurst (both methods), locality (both methods) and
+# cumulants on the fGn trace, each exiting 0, and the removed `--levels`
+# refused as an unrecognized argument (exit 2);
 # then generate -> report once more under SCALEFIT_FIXED_CLOCK=1, twice,
 # `diff -r` of the two runs (trace, sidecar and bundle), and the trace's
 # sha256 against the pinned FGN_4096_SEED_3 (the fGn stream's bytes, under
@@ -29,6 +31,15 @@ test "$(ls rm | wc -l)" -eq 7
 scalefit generate --model cascade --length 4096 --out c.csv
 scalefit report c.csv --outdir rc
 test "$(ls rc | wc -l)" -eq 7
+scalefit hurst t.csv
+scalefit hurst t.csv --method wavelet
+scalefit locality t.csv
+scalefit locality t.csv --method wavelet
+scalefit cumulants t.csv --out k.csv
+status=0
+scalefit hurst t.csv --method wavelet --levels 3 2> levels.err || status=$?
+test "$status" -eq 2
+grep -q "unrecognized arguments: --levels 3" levels.err
 for run in fixed1 fixed2; do
     mkdir -p "$run"
     SCALEFIT_FIXED_CLOCK=1 scalefit generate --model fgn --length 4096 --seed 3 --out "$run/t.csv"

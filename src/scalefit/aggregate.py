@@ -10,15 +10,16 @@ sum is as accurate as if summed in twice the working precision and then
 rounded once, so totals are bit-stable and mass is preserved to within
 a couple of ulps.
 
-The tree is climbed once for many rows (climb): each row is zero-padded
-to a power-of-two slot, the slots lie widest first in one flat buffer,
-and each level is one _pair_sums call over every live slot. A slot that
-is down to one column drops off the end of the live prefix. TwoSum
-against a zero pad returns the operand and a zero error exactly, so a
-padded slot sums exactly as the unpadded row's tree, whose odd last
-column is carried up a level unchanged. row_sums climbs one slot along
-a leading axis of rows; the cumulant table climbs one slot per pyramid
-level.
+The tree is walked two ways. aggregate carries it: _pair_sums over
+the (blocks, n) array, level by level, an odd last column carried up a
+level unchanged, until one column is left. The cumulant table climbs
+it once for many rows of different widths (climb): each row is
+zero-padded to a power-of-two slot, the slots lie widest first in one
+flat buffer, and each level is one _pair_sums call over every live
+slot. A slot that is down to one column drops off the end of the live
+prefix. TwoSum against a zero pad returns the operand and a zero error
+exactly, so a padded slot sums exactly as the carried walk of the
+unpadded row.
 
 build_pyramid is a prefix of the same tree over the whole trace, at
 the dyadic scales its length allows (dyadic_scales): scale 1 is a copy
@@ -71,16 +72,12 @@ def _pair_sums(total: np.ndarray, error: np.ndarray | None):
     return s, rounding
 
 
-def slot_width(width: int) -> int:
-    """The slot a row of width samples climbs in: the next power of two,
-    at least 2, so that every slot takes at least one tree level."""
-    return max(2, 1 << (width - 1).bit_length())
-
-
 def pack_slots(rows) -> tuple:
     """(buffer, slots): 1-D rows, widest first, each zero-padded to its
-    slot_width and laid end to end in one flat buffer, as climb takes them."""
-    slots = [slot_width(row.size) for row in rows]
+    slot and laid end to end in one flat buffer, as climb takes them. A
+    row's slot is the next power of two, at least 2, so that every slot
+    takes at least one tree level."""
+    slots = [max(2, 1 << (row.size - 1).bit_length()) for row in rows]
     buffer = np.zeros(sum(slots))
     offset = 0
     for row, slot in zip(rows, slots):
@@ -119,19 +116,6 @@ def climb(buffer: np.ndarray, slots) -> np.ndarray:
     return sums
 
 
-def row_sums(rows: np.ndarray) -> np.ndarray:
-    """Row sums of a (num_rows, width) array, width >= 1: one climb of
-    one slot along a leading axis of rows (aggregate's block sums,
-    empirical_cgf's sum)."""
-    num_rows, width = rows.shape
-    slot = slot_width(width)
-    if slot != width:
-        padded = np.zeros((num_rows, slot))
-        padded[:, :width] = rows
-        rows = padded
-    return climb(rows, [slot])[:, 0]
-
-
 # float64's largest value over 16: headroom for the steps that follow a
 # sum (TwoSum's differences, the wavelet diagram's centring and filters)
 SUM_LIMIT = 2.0**1020
@@ -166,7 +150,11 @@ def check_block_size(n, name: str = "block size") -> int:
 
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
     """Sum non-overlapping blocks of size n; remainder samples dropped.
-    The samples' sums must fit float64 (check_sums_fit)."""
+
+    Each block is summed by the carried walk of the pairwise tree; a
+    block of one sample is that sample, copied (so -0.0 stays -0.0).
+    The samples' sums must fit float64 (check_sums_fit).
+    """
     x = _as_samples(trace_or_samples)
     n = check_block_size(n)
     if n > x.size:
@@ -175,7 +163,10 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     num_blocks = x.size // n
     if n == 1:
         return x[:num_blocks].copy()
-    return row_sums(x[: num_blocks * n].reshape(num_blocks, n))
+    total, error = _pair_sums(x[: num_blocks * n].reshape(num_blocks, n), None)
+    while total.shape[-1] > 1:
+        total, error = _pair_sums(total, error)
+    return (total + error)[:, 0]
 
 
 # blocks (or wavelet coefficients) kept at the coarsest scale

@@ -5,10 +5,12 @@ Exit codes: 0 success, 1 computation/estimation failure, 2 usage or
 validation failure. Before any computation starts, every flag given is
 checked by its owner's rule (_RULES) under the flag's name; the CLI
 owns only the input-file rule and the rule that joins --j-lo and
---j-hi. generate sizes every model by --length: a cascade's depth is
-its log2. Set the environment variable SCALEFIT_FIXED_CLOCK to freeze
-recorded timestamps and make generate -> report pipelines
-byte-reproducible.
+--j-hi. The trace length is the only size input: generate sizes every
+model by --length (a cascade's depth is its log2), and the pyramid and
+the wavelet diagram take every scale and octave the length allows;
+--j-lo and --j-hi pick the octaves a fit uses. Set the environment
+variable SCALEFIT_FIXED_CLOCK to freeze recorded timestamps and make
+generate -> report pipelines byte-reproducible.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ _RULES = {
     "length": synth.check_fgn_length, "seed": rng.check_seed,
     "multiplier": synth.check_positive, "mass": synth.check_positive,
     "cascade_seed": rng.check_seed, "max_order": cumulants.check_order,
-    "order": cumulants.check_order, "scale": check_block_size, "levels": check_block_size,
+    "order": cumulants.check_order, "scale": check_block_size,
     "window": scaling.check_window_width, "j_lo": scaling.check_finite,
     "j_hi": scaling.check_finite, "knee_threshold": scaling.check_knee_threshold,
 }
@@ -59,8 +61,6 @@ def _build_parser():
                        help="cumulant order of the fit or locality curve [2]")
     family.add_argument("--family", choices=wavelet.FAMILIES, default="db4",
                         help="wavelet family [db4]")
-    family.add_argument("--levels", type=int, default=None,
-                        help="wavelet pyramid depth [deepest the trace length allows]")
     slide.add_argument("--window", type=int, default=scaling.DEFAULT_WINDOW_WIDTH,
                        help="locality window width in octaves "
                             f"[{scaling.DEFAULT_WINDOW_WIDTH}]")
@@ -98,7 +98,7 @@ def _build_parser():
                      help="lowest octave of the fit window [cumulant: finest scale; wavelet: 3]")
     hur.add_argument("--j-hi", type=float, default=None,
                      help="highest octave of the fit window "
-                          "[cumulant: coarsest scale; wavelet: levels-1]")
+                          "[cumulant: coarsest scale; wavelet: deepest octave - 1]")
     hur.add_argument("--out", default=None, help="optional CSV (spectrum or diagram)")
 
     loc = sub.add_parser("locality", parents=[trace, method, order, family, slide],
@@ -176,10 +176,10 @@ def _cmd_cumulants(args) -> int:
     return 0
 
 
-def _diagram_for(trace, family, levels):
-    levels = levels if levels is not None else wavelet.max_levels(len(trace))
-    spec = wavelet.WaveletSpec(family=family, levels=levels)
-    return wavelet.logscale_diagram(trace, spec), levels
+def _diagram_for(trace, family):
+    """The wavelet diagram of every octave the trace length allows, and its depth."""
+    levels = wavelet.max_levels(len(trace))
+    return wavelet.logscale_diagram(trace, wavelet.WaveletSpec(family, levels)), levels
 
 
 def _fit_window(args, default):
@@ -202,7 +202,7 @@ def _knees(curves):
 def _cmd_hurst(args) -> int:
     trace = trace_io.read_trace(args.input)
     if args.method == "wavelet":
-        diagram, levels = _diagram_for(trace, args.family, args.levels)
+        diagram, levels = _diagram_for(trace, args.family)
         j_lo, j_hi = _fit_window(args, wavelet.default_fit_range(levels))
         fit = wavelet.wavelet_hurst(diagram, j_lo, j_hi)
         print(f"method=wavelet family={args.family} octaves=[{j_lo:g},{j_hi:g}]")
@@ -236,7 +236,7 @@ def _cmd_locality(args) -> int:
         table = _table_for(trace, args.order)
         curve = scaling.locality_curve(table, args.order, args.window)
     else:
-        diagram, _ = _diagram_for(trace, args.family, args.levels)
+        diagram, _ = _diagram_for(trace, args.family)
         curve = wavelet.wavelet_locality_curve(diagram, args.window)
     print(f"locality curve: {len(curve.points)} windows of {args.window} octaves "
           f"(method={args.method})")
@@ -248,7 +248,7 @@ def _cmd_locality(args) -> int:
               f"{knee.right_slope:+.4f}, sse_reduction {knee.sse_reduction:.3e} "
               f"({100 * knee.fraction:.1f}% of single-line SSE)")
         if not knee.significant(args.knee_threshold):
-            print(f"no significant knee (reduction below {100 * args.knee_threshold:.0f}% "
+            print(f"no significant knee (reduction below {100 * args.knee_threshold:g}% "
                   "threshold)")
     if args.out:
         trace_io.write_curve(curve, args.out)
@@ -260,7 +260,7 @@ def _cmd_report(args) -> int:
     trace = trace_io.read_trace(args.input)
     table = _table_for(trace, args.max_order, args.order)
     spectrum = scaling.hurst_spectrum(table)
-    diagram, levels = _diagram_for(trace, args.family, args.levels)
+    diagram, levels = _diagram_for(trace, args.family)
     curves = {"cumulant": scaling.locality_curve(table, args.order, args.window),
               "wavelet": wavelet.wavelet_locality_curve(diagram, args.window)}
     knees, omitted_knees = _knees(curves)

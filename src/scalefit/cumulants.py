@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import check_squares_fit, check_sums_fit, climb, pack_slots, row_sums
+from .aggregate import aggregate, check_squares_fit, climb, pack_slots
 from .rng import check_integer
 from .scaling import ScalingDiagram, is_numerical_zero
 
@@ -144,8 +144,8 @@ def empirical_cgf(series, t: float) -> float:
     Derivatives of this function at 0 are the cumulants of the
     empirical distribution (the biased sample cumulants); they differ
     from the unbiased k-statistics by O(1/n) terms. Each exp(t*x) must
-    be at most exp(CGF_EXPONENT_LIMIT), and their sum must fit float64
-    (aggregate.check_sums_fit).
+    be at most exp(CGF_EXPONENT_LIMIT), and their sum, aggregate's sum of
+    one block, must fit float64 (aggregate.check_sums_fit).
     """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
@@ -156,8 +156,7 @@ def empirical_cgf(series, t: float) -> float:
             f"guard {CGF_EXPONENT_LIMIT}"
         )
     terms = np.exp(t * x)
-    check_sums_fit(terms)
-    return math.log(float(row_sums(terms.reshape(1, -1))[0]) / x.size)
+    return math.log(float(aggregate(terms, terms.size)[0]) / x.size)
 
 
 @dataclass

@@ -277,8 +277,9 @@ def locality_curve(table, m: int, window_width: int = DEFAULT_WINDOW_WIDTH) -> L
 MIN_KNEE_POINTS = 6
 
 
-def detect_knee(curve_or_xy) -> KneePoint:
-    """Exhaustive best two-segment OLS split of a curve.
+def detect_knee(curve: LocalityCurve) -> KneePoint:
+    """Exhaustive best two-segment OLS split of a locality curve's
+    (center, H) points.
 
     Every admissible breakpoint (at a data point, shared by both
     segments, with at least MIN_FIT_POINTS points per side) is tried; the split
@@ -287,15 +288,8 @@ def detect_knee(curve_or_xy) -> KneePoint:
     numerically zero against sum y^2 (is_numerical_zero) counts as 0: a
     curve flat to rounding has no knee to find, and its fraction is 0.
     """
-    if isinstance(curve_or_xy, LocalityCurve):
-        x = curve_or_xy.centers()
-        y = curve_or_xy.estimates()
-    else:
-        x, y = curve_or_xy
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
+    x = curve.centers()
+    y = curve.estimates()
     if x.size < MIN_KNEE_POINTS:
         raise ValueError(f"knee detection needs at least {MIN_KNEE_POINTS} points, got {x.size}")
     _, _, _, single_sse = _ols(x, y)

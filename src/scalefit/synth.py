@@ -136,39 +136,37 @@ def fgn_autocovariance(hurst: float, variance: float, lag: int) -> float:
 
     gamma(k) = (variance/2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H});
     gamma(0) = variance, and gamma(k) = 0 for all k >= 1 when H = 1/2.
+    O(1) at any lag: three libm pow calls, combined in the order
+    _fgn_gamma combines them, so it returns _fgn_gamma's double.
     """
     check_hurst(hurst)
     check_positive(variance, "variance")
     lag = check_integer(lag, "lag", lambda k: k >= 0, "a nonnegative integer")
-    return float(_fgn_gamma(hurst, variance, lag, lag)[0])
+    k, two_h = float(lag), 2.0 * hurst
+    return (pow(k + 1.0, two_h) - 2.0 * pow(k, two_h) + pow(abs(k - 1.0), two_h)) * (
+        0.5 * variance)
 
 
-def _fgn_gamma(hurst: float, variance: float, first: int, last: int) -> np.ndarray:
-    """fgn_autocovariance's formula at lags first..last, for parameters
+def _fgn_gamma(hurst: float, variance: float, last: int) -> np.ndarray:
+    """fgn_autocovariance's formula at lags 0..last, for parameters
     already checked.
 
-    Each |k|^{2H} is one Python float power, libm's pow (np.power
-    differs from it in the last bit on some lags), taken once per lag
-    as the lags stream into one array, with no list of them, and shared
-    by the three lags that use it; the terms combine in place, in the
-    closed form's order, so a lag gets the same double whichever range
-    holds it. generate_fgn needs lags 0..N once per (H, variance, N),
+    Each k^{2H} is one Python float power, libm's pow (np.power differs
+    from it in the last bit on some lags), taken once per lag as the
+    lags stream into one array, with no list of them, and shared by the
+    three lags that use it; the terms combine in place, in the closed
+    form's order. generate_fgn needs lags 0..N once per (H, variance, N),
     through _root_spectrum: one array of N+2 powers and the N+1 results.
     """
     two_h = 2.0 * hurst
-    base = max(first - 1, 0)
     # count's float steps are exact: every lag is an integer below 2**53
-    power = np.fromiter(map(pow, count(float(base)), repeat(two_h)), float, last + 2 - base)
-    # power[i] is |base + i|^{2H}; k's terms are power[k + 1 - base], power[k - base]
-    # and power[|k - 1| - base], where lag 0's |k - 1| term is power[1]
-    lo = first - base
-    gamma = 2.0 * power[lo:-1]
-    np.subtract(power[lo + 1:], gamma, out=gamma)
-    if first == 0:
-        gamma[0] += power[1]
-        gamma[1:] += power[:-2]
-    else:
-        gamma += power[:-2]
+    power = np.fromiter(map(pow, count(0.0), repeat(two_h)), float, last + 2)
+    # power[k] is k^{2H}; lag k's terms are power[k + 1], power[k] and
+    # power[|k - 1|], where lag 0's |k - 1| term is power[1]
+    gamma = 2.0 * power[:-1]
+    np.subtract(power[1:], gamma, out=gamma)
+    gamma[0] += power[1]
+    gamma[1:] += power[:-2]
     gamma *= 0.5 * variance
     return gamma
 
@@ -210,7 +208,7 @@ def _root_spectrum(hurst: float, variance: float, length: int) -> np.ndarray:
     doubles, at most 4 x 16*length bytes in all (16 MB at 2^20). A
     SynthesisError is not cached: it is raised again on every call.
     """
-    root = _embedding_eigenvalues(_fgn_gamma(hurst, variance, 0, length))
+    root = _embedding_eigenvalues(_fgn_gamma(hurst, variance, length))
     np.sqrt(root, out=root)
     root.flags.writeable = False
     return root

@@ -55,8 +55,8 @@ FAMILIES = tuple(sorted(_SCALING_FILTERS))
 class WaveletSpec:
     """Transform family and pyramid depth."""
 
-    family: str = "db4"
-    levels: int = 1
+    family: str
+    levels: int
 
     def __post_init__(self):
         if self.family not in _SCALING_FILTERS:

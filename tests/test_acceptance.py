@@ -41,6 +41,7 @@ from scalefit import (
     wavelet_locality_curve,
 )
 from scalefit.cli import main as cli_main
+from test_scaling import knee_curve
 
 N16 = 2**16
 
@@ -262,7 +263,7 @@ def test_criterion_7_knee_detector_exactness():
             left_slope * x,
             left_slope * knee_index + right_slope * (x - knee_index),
         )
-        knee = detect_knee((x, y))
+        knee = detect_knee(knee_curve(x, y))
         assert knee.octave == pytest.approx(knee_index, abs=1e-9)
         assert knee.left_slope == pytest.approx(left_slope, rel=1e-9, abs=1e-9)
         assert knee.right_slope == pytest.approx(right_slope, rel=1e-9, abs=1e-9)
@@ -275,7 +276,7 @@ def test_criterion_7_knee_detector_exactness():
         size = int(rng.integers(6, 25))
         x = np.sort(rng.uniform(0, 10, size=size)) + np.arange(size) * 1e-6
         y = rng.normal(size=size)
-        knee = detect_knee((x, y))
+        knee = detect_knee(knee_curve(x, y))
         totals = [
             sse_line(x[: i + 1], y[: i + 1]) + sse_line(x[i:], y[i:])
             for i in range(2, size - 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scalefit.aggregate import (SUM_LIMIT, _pair_sums, aggregate, build_pyramid, check_sums_fit,
-                                climb, dyadic_scales, pack_slots, row_sums)
+                                climb, dyadic_scales, pack_slots)
 from scalefit.synth import FgnSpec, generate_fgn
 
 finite_values = st.floats(-1e6, 1e6, allow_nan=False)
@@ -162,7 +162,7 @@ class TestPairwiseSummation:
     @example(name="cauchy", length=4097)
     @example(name="fgn_offset_1e7", length=1365)
     def test_pyramid_carries_odd_columns(self, name, length):
-        """Odd-width levels carry their last column up row_sums' tree; the
+        """Odd-width levels carry their last column up aggregate's tree; the
         kept prefix of every level is aggregate's block sums bit for bit."""
         x = SUMMATION_INPUTS[name][:length]
         pyramid = build_pyramid(x)
@@ -210,12 +210,14 @@ class TestSlotClimb:
 
     @settings(max_examples=40, deadline=None)
     @given(draw=row_draws, num_rows=st.integers(1, 40))
-    def test_row_sums_is_the_per_row_tree(self, draw, num_rows):
-        """row_sums climbs one slot along the rows' leading axis."""
+    def test_aggregate_is_the_per_row_tree(self, draw, num_rows):
+        """aggregate's carried walk sums each block as the per-row tree does,
+        and so as the padded climb does; a block of one sample is copied."""
         source, width, _, sign = draw
         width = min(width, 2**14 // num_rows)
         rows = _row(source, width * num_rows, 0, sign).reshape(num_rows, width)
-        assert row_sums(rows).tobytes() == reference_row_sums(rows).tobytes()
+        expected = rows[:, 0] if width == 1 else reference_row_sums(rows)
+        assert aggregate(rows.ravel(), width).tobytes() == expected.tobytes()
 
     def test_pads_and_negation_are_exact(self):
         """A width-1 row climbs one level against its pad; -0.0 sums to +0.0

@@ -138,8 +138,9 @@ INVALID_FLAGS = [
     (["report", "{trace}", "--outdir", "{out}", "--knee-threshold", "nan"], "got nan"),
     (["hurst", "{trace}", "--j-lo", 5, "--j-hi", 4], "[5.0, 4.0]"),
     (["hurst", "{trace}", "--method", "wavelet", "--j-lo", "nan"], "got nan"),
+    # --levels is gone: the diagram takes every octave the trace length allows
     (["hurst", "{trace}", "--method", "wavelet", "--levels", 0],
-     "--levels must be a positive integer, got 0"),
+     "unrecognized arguments: --levels 0"),
     (["aggregate", "{trace}", "--scale", 0, "--out", "{out}"],
      "--scale must be a positive integer, got 0"),
     (["generate", "--model", "fgn", "--hurst", 1.2, "--out", "{out}"],
@@ -355,6 +356,12 @@ class TestLocality:
         report = capsys.readouterr().out
         assert "(0.0% of single-line SSE)" in report
         assert "no significant knee" in report
+
+    @pytest.mark.parametrize("flags, shown", [((), "20%"), (("--knee-threshold", "0.005"), "0.5%")])
+    def test_threshold_line_keeps_fractional_percent(self, order1_trace, capsys, flags, shown):
+        """The threshold prints as given: 0.005 is 0.5%, not a rounded 0%."""
+        assert run("locality", order1_trace, "--order", 1, *flags) == 0
+        assert f"no significant knee (reduction below {shown} threshold)" in capsys.readouterr().out
 
     def test_short_curve_no_knee_line(self, tmp_path, capsys):
         """A curve too short for detect_knee is still written: locality

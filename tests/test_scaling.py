@@ -15,6 +15,12 @@ from scalefit.scaling import (
 from scalefit.wavelet import LogscaleDiagram, wavelet_hurst, wavelet_locality_curve
 
 
+def knee_curve(x, y) -> LocalityCurve:
+    """The locality curve of points (x[i], y[i]), the one input detect_knee takes."""
+    points = tuple(zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()))
+    return LocalityCurve(points=points, window_width=4)
+
+
 def synthetic_table(orders, num_octaves, hurst_of, coeff_of=None, unusable=()):
     """Exact power-law table: values[(m, 2**j)] = c_m * 2**(m*H(m)*j)."""
     coeff_of = coeff_of or (lambda m: 1.0)
@@ -171,7 +177,7 @@ class TestDetectKnee:
     def test_noiseless_two_segment(self):
         x = np.arange(11.0)
         y = np.where(x <= 5, x, 5 + 3 * (x - 5))
-        knee = detect_knee((x, y))
+        knee = detect_knee(knee_curve(x, y))
         assert knee.octave == pytest.approx(5.0, abs=1e-9)
         assert knee.left_slope == pytest.approx(1.0, abs=1e-9)
         assert knee.right_slope == pytest.approx(3.0, abs=1e-9)
@@ -181,7 +187,7 @@ class TestDetectKnee:
 
     def test_collinear_input(self):
         x = np.arange(10.0)
-        knee = detect_knee((x, 2 * x + 1))
+        knee = detect_knee(knee_curve(x, 2 * x + 1))
         assert knee.sse_reduction == pytest.approx(0.0, abs=1e-18)
         assert knee.left_slope == pytest.approx(knee.right_slope, abs=1e-9)
         # no single-line SSE to reduce: no knee at any positive threshold
@@ -193,23 +199,18 @@ class TestDetectKnee:
         single-line SSE that is numerically zero, so nothing is removed."""
         ulps = np.array([0, 1, -1, 2, 0, -2, 1, 1, -1, 0, 2, -1])
         y = 1.0 + ulps * np.spacing(1.0)
-        knee = detect_knee((np.arange(12.0), y))
+        knee = detect_knee(knee_curve(np.arange(12.0), y))
         assert knee.fraction == 0.0
         assert knee.sse_reduction == 0.0
         assert not knee.significant(0.2)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            detect_knee((np.arange(5.0), np.arange(5.0)))
-
-    def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="^x and y must have equal length$"):
-            detect_knee((np.arange(8.0), np.arange(7.0)))
+            detect_knee(knee_curve(np.arange(5.0), np.arange(5.0)))
 
     def test_accepts_locality_curve(self):
-        points = tuple((float(j), 0.8 if j < 5 else 0.8 - 0.1 * (j - 5)) for j in range(10))
-        curve = LocalityCurve(points=points, window_width=4)
-        knee = detect_knee(curve)
+        x = np.arange(10.0)
+        knee = detect_knee(knee_curve(x, np.where(x < 5, 0.8, 0.8 - 0.1 * (x - 5))))
         assert knee.octave == pytest.approx(5.0, abs=1e-9)
 
     @settings(max_examples=100)
@@ -222,7 +223,7 @@ class TestDetectKnee:
         x = np.sort(rng.uniform(0, 10, size=size))
         x += np.arange(size) * 1e-6  # enforce strictly increasing
         y = rng.normal(size=size)
-        knee = detect_knee((x, y))
+        knee = detect_knee(knee_curve(x, y))
 
         def sse_line(xs, ys):
             slope, intercept = np.polyfit(xs, ys, 1)

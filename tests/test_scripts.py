@@ -43,11 +43,12 @@ def test_readme_library_example():
 
 
 def test_bench_stages_smoke(tmp_path):
-    """At 2^12, one run each: every stage of the chain has its time and
-    its page-fault count, and each CLI step its wall time and peak RSS."""
+    """At 2^12, two runs each: every stage of the chain has each run's time,
+    their minimum and each run's page-fault count, and each CLI step each
+    run's wall time, their minimum and the peak RSS."""
     out = tmp_path / "bench.json"
     result = subprocess.run([sys.executable, str(STAGES), "--out", str(out),
-                             "--log2-sizes", "12", "--repeats", "1"],
+                             "--log2-sizes", "12", "--repeats", "2"],
                             env=_env(), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     record = json.loads(out.read_text())
@@ -59,8 +60,11 @@ def test_bench_stages_smoke(tmp_path):
         "fit_loglog", "hurst_spectrum", "wavelet_hurst", "locality_curve",
         "wavelet_locality_curve", "detect_knee_cumulant", "detect_knee_wavelet"}
     for stage in size["stages"].values():
-        assert stage["min_s"] > 0 and len(stage["minflt"]) == 1
+        assert len(stage["runs_s"]) == len(stage["minflt"]) == 2
+        assert stage["min_s"] == min(stage["runs_s"]) > 0
     for model in ("fgn", "multifractal"):
         for step in ("generate", "report"):
-            assert size["cli"][model][step]["min_wall_s"] > 0
-            assert size["cli"][model][step]["peak_rss_mb"] > 0
+            step_record = size["cli"][model][step]
+            assert len(step_record["runs_s"]) == 2
+            assert step_record["min_wall_s"] == min(step_record["runs_s"]) > 0
+            assert step_record["peak_rss_mb"] > 0

@@ -75,13 +75,19 @@ class TestFgnAutocovariance:
         """generate_fgn's vector of lags 0..2^12 is, lag by lag, the double
         fgn_autocovariance returns and the scalar closed form gives."""
         n, variance, two_h = 2**12, 1.7, 2.0 * hurst
-        gamma = _fgn_gamma(hurst, variance, 0, n)
+        gamma = _fgn_gamma(hurst, variance, n)
         single = np.array([fgn_autocovariance(hurst, variance, k) for k in range(n + 1)])
         scalar = np.array([
             0.5 * variance * (abs(k + 1.0) ** two_h - 2.0 * abs(k) ** two_h + abs(k - 1.0) ** two_h)
             for k in map(float, range(n + 1))
         ])
         assert gamma.tobytes() == single.tobytes() == scalar.tobytes()
+
+    def test_far_lag_is_the_closed_form(self):
+        """A lag of 2**40 costs three pow calls, not an array of 2**40 lags."""
+        k, two_h = float(2**40), 1.6
+        closed = 0.5 * (pow(k + 1.0, two_h) - 2.0 * pow(k, two_h) + pow(k - 1.0, two_h))
+        assert fgn_autocovariance(0.8, 1.0, 2**40) == closed
 
 
 class TestFgnSpec:
@@ -188,7 +194,7 @@ class TestRootSpectrumCache:
             root[0] = 0.0
 
     def test_root_is_sqrt_of_spectrum(self):
-        lam = _embedding_eigenvalues(_fgn_gamma(0.7, 2.0, 0, 2**10))
+        lam = _embedding_eigenvalues(_fgn_gamma(0.7, 2.0, 2**10))
         assert _root_spectrum(0.7, 2.0, 2**10).tobytes() == np.sqrt(lam).tobytes()
 
     def test_cache_size_bounded(self):
@@ -278,13 +284,17 @@ class TestInPlaceSynthesisBytes:
     @pytest.mark.parametrize("first, last", [(0, 0), (0, 1), (0, 2**17), (1, 1), (1, 300),
                                              (2, 2), (2, 3), (5, 4096), (1000, 1031)])
     def test_gamma(self, hurst, first, last):
-        assert (_fgn_gamma(hurst, 1.7, first, last).tobytes()
-                == _reference_fgn_gamma(hurst, 1.7, first, last).tobytes())
+        """Lags first..last of _fgn_gamma's vector, and fgn_autocovariance at
+        each of them, are the reference's doubles."""
+        expected = _reference_fgn_gamma(hurst, 1.7, first, last).tobytes()
+        assert _fgn_gamma(hurst, 1.7, last)[first:].tobytes() == expected
+        single = [fgn_autocovariance(hurst, 1.7, k) for k in range(first, last + 1)]
+        assert np.array(single).tobytes() == expected
 
     @pytest.mark.parametrize("hurst", HURSTS)
     @pytest.mark.parametrize("n", [16, 2**10, 2**17])
     def test_eigenvalues_and_root(self, hurst, n):
-        gamma = _fgn_gamma(hurst, 2.5, 0, n)
+        gamma = _fgn_gamma(hurst, 2.5, n)
         lam = _reference_eigenvalues(gamma)
         assert _embedding_eigenvalues(gamma).tobytes() == lam.tobytes()
         assert _root_spectrum(hurst, 2.5, n).tobytes() == np.sqrt(lam).tobytes()
