@@ -12,17 +12,21 @@
 # trace's sha256 against MULTIFRACTAL_4096_SEED_3. numpy's stream-
 # compatibility policy covers the raw uniforms the fGn is built from, but
 # not Generator.beta, which draws the cascade's multipliers, so this pin
-# is what checks that stream under each numpy.
+# is what checks that stream under each numpy. The `aggregate --scale 3`
+# output's sha256 is pinned too (AGGREGATE3_4096_SEED_3): 1365 blocks of
+# an odd width, each zero-padded to a 4-wide slot of the TwoSum tree.
 # Usage: scripts/console_script_e2e.sh WORKDIR
 set -eu
 FGN_4096_SEED_3=1ccdb11be6a2ea7aee8d02995b5629b955fd055fc50e739c4e7db1b071deafd1
 MULTIFRACTAL_4096_SEED_3=86e8d24a4514a87136fc4f52b583b3df223f8cf8f6eb212c6a4c9b103c4c6bd4
+AGGREGATE3_4096_SEED_3=33309f279b46507db2a72d48860e88abfb7a603cdde459d6efe9879f46603a05
 mkdir -p "$1"
 cd "$1"
 scalefit generate --model fgn --length 4096 --seed 3 --out t.csv
 scalefit report t.csv --outdir r
 test "$(ls r | wc -l)" -eq 7
 scalefit aggregate t.csv --scale 3 --out a.csv
+test "$(sha256sum a.csv | cut -d " " -f 1)" = "$AGGREGATE3_4096_SEED_3"
 scalefit report a.csv --outdir ra
 test "$(ls ra | wc -l)" -eq 7
 scalefit generate --model multifractal --length 4096 --seed 3 --cascade-seed 4 --out m.csv

@@ -33,6 +33,7 @@ from scalefit import (
     wavelet_locality_curve,
     write_curve,
 )
+from scalefit.rng import check_integer
 
 LENGTH = 2**16
 FAMILIES = {
@@ -56,6 +57,10 @@ def main() -> int:
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args()
+    try:
+        check_integer(args.seeds, "--seeds", lambda n: n >= 1, "a positive integer")
+    except ValueError as exc:
+        parser.error(str(exc))
     os.makedirs(args.outdir, exist_ok=True)
 
     import warnings

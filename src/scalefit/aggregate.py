@@ -10,16 +10,16 @@ sum is as accurate as if summed in twice the working precision and then
 rounded once, so totals are bit-stable and mass is preserved to within
 a couple of ulps.
 
-The tree is walked two ways. aggregate carries it: _pair_sums over
-the (blocks, n) array, level by level, an odd last column carried up a
-level unchanged, until one column is left. The cumulant table climbs
-it once for many rows of different widths (climb): each row is
+The tree has one shape: a level sums complete pairs of adjacent
+columns (_pair_sums), and an odd last column is dropped, never carried.
+climb walks it once for many rows of different widths: each row is
 zero-padded to a power-of-two slot, the slots lie widest first in one
-flat buffer, and each level is one _pair_sums call over every live
-slot. A slot that is down to one column drops off the end of the live
-prefix. TwoSum against a zero pad returns the operand and a zero error
-exactly, so a padded slot sums exactly as the carried walk of the
-unpadded row.
+flat buffer, and the whole buffer goes up level by level. A slot is
+read at the level where it is one column; from there on its column
+only pairs with other finished columns, or is dropped, and is never
+read again. TwoSum against a zero pad returns the operand and a zero
+error exactly, so a padded slot sums as the unpadded row's own tree
+would. aggregate is the one-slot climb of its (blocks, n) rows.
 
 build_pyramid is a prefix of the same tree over the whole trace, at
 the dyadic scales its length allows (dyadic_scales): scale 1 is a copy
@@ -47,10 +47,9 @@ def _pair_sums(total: np.ndarray, error: np.ndarray | None):
 
     Adjacent columns (0, 1), (2, 3), ... are added by TwoSum (Knuth),
     whose rounding error joins the pair's carried errors; an odd last
-    column carries to the next level unchanged. error None means all
-    carried errors are zero (the samples themselves). An even level
-    allocates its sums, its errors and one scratch array; every other
-    step writes into them.
+    column is dropped. error None means all carried errors are zero
+    (the samples themselves). A level allocates its sums, its errors
+    and one scratch array; every other step writes into them.
     """
     even = total.shape[-1] - total.shape[-1] % 2
     a, b = total[..., 0:even:2], total[..., 1:even:2]
@@ -65,19 +64,20 @@ def _pair_sums(total: np.ndarray, error: np.ndarray | None):
     if error is not None:
         np.add(error[..., 0:even:2], error[..., 1:even:2], out=b_virtual)
         rounding += b_virtual
-    if even < total.shape[-1]:
-        s = np.concatenate([s, total[..., even:]], axis=-1)
-        carried = np.zeros_like(total[..., even:]) if error is None else error[..., even:]
-        rounding = np.concatenate([rounding, carried], axis=-1)
     return s, rounding
+
+
+def _slot_width(n: int) -> int:
+    """The slot of an n-wide row: the next power of two, at least 2, so
+    that every slot takes at least one tree level."""
+    return max(2, 1 << (n - 1).bit_length())
 
 
 def pack_slots(rows) -> tuple:
     """(buffer, slots): 1-D rows, widest first, each zero-padded to its
-    slot and laid end to end in one flat buffer, as climb takes them. A
-    row's slot is the next power of two, at least 2, so that every slot
-    takes at least one tree level."""
-    slots = [max(2, 1 << (row.size - 1).bit_length()) for row in rows]
+    slot (_slot_width) and laid end to end in one flat buffer, as climb
+    takes them."""
+    slots = [_slot_width(row.size) for row in rows]
     buffer = np.zeros(sum(slots))
     offset = 0
     for row, slot in zip(rows, slots):
@@ -91,28 +91,24 @@ def climb(buffer: np.ndarray, slots) -> np.ndarray:
 
     slots are the slot widths, powers of two of at least 2, widest first,
     so every slot starts at a multiple of its own width and no pair
-    crosses two slots. Each level is one _pair_sums call over the live
-    slots; the slots that a level brings down to one column are the last
-    live ones and leave the climb with their sum + error. Returns the
-    sums, one per slot, over buffer's leading axes.
+    crosses two slots. The whole buffer climbs; the slots are read
+    narrowest first, each at the level where it is one column (index
+    start // width), as that column's sum + error. The slots still
+    climbing always span an even number of columns, so a finished
+    column never pairs with theirs. Returns the sums, one per slot,
+    over buffer's leading axes.
     """
     if any(slot < 2 or slot & (slot - 1) or slot > wider
            for wider, slot in zip([*slots[:1], *slots], slots)):
         raise ValueError(f"slots must be powers of two of at least 2, widest first, got {slots}")
     sums = np.empty(buffer.shape[:-1] + (len(slots),))
-    total, error = _pair_sums(buffer, None)
-    live, width = len(slots), 2
-    while live:
-        done = live
-        while done and slots[done - 1] == width:
-            done -= 1
-        if done < live:
-            sums[..., done:live] = total[..., done - live:] + error[..., done - live:]
-            total, error = total[..., :done - live], error[..., :done - live]
-            live = done
-        if live:
+    total, error, width, end = buffer, None, 1, sum(slots)
+    for i in reversed(range(len(slots))):
+        end -= slots[i]
+        while width < slots[i]:
             total, error = _pair_sums(total, error)
             width *= 2
+        sums[..., i] = total[..., end // width] + error[..., end // width]
     return sums
 
 
@@ -151,9 +147,10 @@ def check_block_size(n, name: str = "block size") -> int:
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
     """Sum non-overlapping blocks of size n; remainder samples dropped.
 
-    Each block is summed by the carried walk of the pairwise tree; a
-    block of one sample is that sample, copied (so -0.0 stays -0.0).
-    The samples' sums must fit float64 (check_sums_fit).
+    Each block is zero-padded to its slot (_slot_width) and the blocks
+    climb as one slot each; a block of one sample is that sample, copied
+    (so -0.0 stays -0.0). The samples' sums must fit float64
+    (check_sums_fit).
     """
     x = _as_samples(trace_or_samples)
     n = check_block_size(n)
@@ -163,10 +160,10 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     num_blocks = x.size // n
     if n == 1:
         return x[:num_blocks].copy()
-    total, error = _pair_sums(x[: num_blocks * n].reshape(num_blocks, n), None)
-    while total.shape[-1] > 1:
-        total, error = _pair_sums(total, error)
-    return (total + error)[:, 0]
+    slot = _slot_width(n)
+    padded = np.zeros((num_blocks, slot))
+    padded[:, :n] = x[: num_blocks * n].reshape(num_blocks, n)
+    return climb(padded, [slot])[:, 0]
 
 
 # blocks (or wavelet coefficients) kept at the coarsest scale
@@ -196,10 +193,11 @@ def build_pyramid(trace_or_samples) -> AggregatePyramid:
     sums must fit float64 (check_sums_fit). Scale 1 is a copy of the
     samples. The levels are a prefix of the summation tree over the
     whole trace: level 2n is _pair_sums on level n's (sum, error) pair,
-    an odd last column carried up unchanged (as a zero pad in climb
-    would leave it), and the first x.size // n sums of a level are
-    aggregate(x, n) bit for bit. A fit over fewer scales takes an octave
-    window of the table; any other block size is aggregate's alone.
+    whose dropped odd column is a partial block, so level n holds the
+    x.size // n full-block sums, each aggregate(x, n) bit for bit (a
+    block's sum depends only on its own subtree). A fit over fewer
+    scales takes an octave window of the table; any other block size is
+    aggregate's alone.
     """
     x = _as_samples(trace_or_samples)
     check_sums_fit(x)
@@ -211,5 +209,5 @@ def build_pyramid(trace_or_samples) -> AggregatePyramid:
     total, error = x, None
     for n in scales[1:]:
         total, error = _pair_sums(total, error)
-        series[n] = (total + error)[: x.size // n]
+        series[n] = total + error
     return AggregatePyramid(scales=tuple(scales), series=series, source_length=x.size)

@@ -11,8 +11,9 @@ The mean and the central power sums are summed by aggregate.climb, the
 package's one compensated rule (a pairwise TwoSum tree, as accurate as
 summing in twice the working precision and rounding once). Every
 pyramid level of a table is zero-padded into one power-of-two slot of
-one flat buffer, widest first (aggregate.pack_slots), and the buffer is
-climbed once for the means and then once per power order: at most
+one flat buffer, widest first (aggregate.pack_slots), and the whole
+buffer is climbed once for the means and then once per power order,
+each slot read at the tree level where it is one column: at most
 max_order x log2 N tree levels per table, 48 at 2^12 for order 4.
 TwoSum against a zero pad is exact, so each level's sums are those of
 its own tree bit for bit; sample_cumulants is the one-level case.

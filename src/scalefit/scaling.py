@@ -122,9 +122,6 @@ class HurstCurve:
     entries: dict
     omitted: dict = field(default_factory=dict)
 
-    def hurst(self, m: int) -> float:
-        return self.entries[m].hurst()
-
 
 @dataclass
 class LocalityCurve:

@@ -149,8 +149,9 @@ class TestPairwiseSummation:
     @pytest.mark.parametrize("name", sorted(SUMMATION_INPUTS))
     @pytest.mark.parametrize("n", [3, 6, 7])
     def test_odd_width_blocks(self, name, n):
-        # odd columns carry up the tree; mass is preserved and, on these
-        # inputs, every block is the correctly rounded sum
+        # each block climbs zero-padded to a power-of-two slot; mass is
+        # preserved and, on these inputs, every block is the correctly
+        # rounded sum
         x = SUMMATION_INPUTS[name]
         out = aggregate(x, n)
         used = x[: x.size // n * n]
@@ -161,23 +162,50 @@ class TestPairwiseSummation:
     @given(name=st.sampled_from(sorted(SUMMATION_INPUTS)), length=st.integers(8, 5000))
     @example(name="cauchy", length=4097)
     @example(name="fgn_offset_1e7", length=1365)
-    def test_pyramid_carries_odd_columns(self, name, length):
-        """Odd-width levels carry their last column up aggregate's tree; the
-        kept prefix of every level is aggregate's block sums bit for bit."""
+    def test_pyramid_drops_partial_blocks(self, name, length):
+        """An odd-width level drops its last column, a partial block, so
+        every level holds exactly length // n sums: aggregate's block sums
+        bit for bit."""
         x = SUMMATION_INPUTS[name][:length]
         pyramid = build_pyramid(x)
         assert pyramid.scales == tuple(dyadic_scales(length))
         for n in pyramid.scales:
+            assert pyramid.series[n].size == length // n
             assert pyramid.series[n].tobytes() == aggregate(x, n).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3, 5, 1365, 4097])
+    def test_pair_sums_drop_an_odd_last_column(self, width):
+        """A level of an odd width is the level of its even prefix: width // 2
+        complete pairs, the last column dropped."""
+        x = SUMMATION_INPUTS["cauchy"][:width]
+        total, error = _pair_sums(x, None)
+        assert total.shape == error.shape == (width // 2,)
+        even_total, even_error = _pair_sums(x[:width - 1], None)
+        assert total.tobytes() == even_total.tobytes()
+        assert error.tobytes() == even_error.tobytes()
+        total, error = _pair_sums(total, error)
+        assert total.shape == error.shape == (width // 4,)
 
 
 def reference_row_sums(rows):
     """Each row of a 2-D array summed by its own pairwise TwoSum tree, an
-    odd last column carried up a level unchanged: the per-row loop that
-    the slot climb replaces, kept here as its reference."""
-    total, error = _pair_sums(rows, None)
-    while total.shape[-1] > 1:
-        total, error = _pair_sums(total, error)
+    odd last column carried up a level unchanged with a zero error: the
+    unpadded per-row walk, written out apart from aggregate's code with
+    _pair_sums' order of operations. A row of one sample takes one level,
+    so it sums as sample + 0.0."""
+    total, error = rows, None
+    while error is None or total.shape[-1] > 1:
+        even = total.shape[-1] - total.shape[-1] % 2
+        a, b = total[:, 0:even:2], total[:, 1:even:2]
+        s = a + b
+        b_virtual = s - a
+        rounding = (a - (s - b_virtual)) + (b - b_virtual)
+        carried = np.zeros_like(total[:, even:])
+        if error is not None:
+            rounding = rounding + (error[:, 0:even:2] + error[:, 1:even:2])
+            carried = error[:, even:]
+        total = np.concatenate([s, total[:, even:]], axis=1)
+        error = np.concatenate([rounding, carried], axis=1)
     return (total + error)[:, 0]
 
 
@@ -230,6 +258,26 @@ class TestSlotClimb:
                                            for r in rows]).tobytes()
         assert sums[1:].tobytes() == np.zeros(2).tobytes()
         assert climb(-buffer, slots)[0] == -sums[0]
+
+    @pytest.mark.parametrize("widths, slots", [
+        ([8, 2, 2], [8, 2, 2]), ([7, 1, 2], [8, 2, 2]), ([16, 2], [16, 2]),
+        ([13, 1], [16, 2]), ([4, 4, 2], [4, 4, 2]), ([3, 4, 1], [4, 4, 2])])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finished_slots_pair_or_drop(self, widths, slots, sign):
+        """A slot read early keeps climbing with the buffer and is never read
+        again: [8, 2, 2]'s two 2-slots pair at level 2 and drop as the odd
+        column at level 3, [16, 2]'s 2-slot drops at level 2, and [4, 4, 2]'s
+        drops at level 2 while the 4-slots are read there."""
+        x = SUMMATION_INPUTS["cauchy"]
+        starts = np.cumsum([0, *widths[:-1]]) * 7
+        rows = [sign * x[start:start + width] for start, width in zip(starts, widths)]
+        buffer, packed = pack_slots(rows)
+        assert packed == slots
+        expected = np.array([reference_row_sums(row[None, :])[0] for row in rows])
+        assert climb(buffer, slots).tobytes() == expected.tobytes()
+        # the same climb over a leading axis, as aggregate takes it
+        assert climb(np.stack([buffer, -buffer]), slots).tobytes() == np.stack(
+            [expected, -expected]).tobytes()
 
     @pytest.mark.parametrize("slots", [[4, 8], [3], [8, 1], [16, 16, 6]])
     def test_refuses_slots_not_widest_first_powers_of_two(self, slots):

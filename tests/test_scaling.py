@@ -85,7 +85,7 @@ class TestHurstSpectrum:
         table = synthetic_table([1, 2, 3, 4], 8, lambda m: 0.9 - 0.05 * m)
         curve = hurst_spectrum(table)
         for m in (1, 2, 3, 4):
-            assert curve.hurst(m) == pytest.approx(0.9 - 0.05 * m, abs=1e-9)
+            assert curve.entries[m].hurst() == pytest.approx(0.9 - 0.05 * m, abs=1e-9)
 
     def test_omitted_orders_recorded(self):
         unusable = {(3, 2**j) for j in range(9)}
@@ -126,7 +126,7 @@ class TestOneFitRecord:
             fit = table.scaling_diagram(m).fit(window)
             assert isinstance(entry, ScalingFit)
             assert entry._asdict() == fit._asdict() == fit_loglog(table, m, window)._asdict()
-            assert entry.hurst() == spectrum.hurst(m) == fit.slope / m
+            assert entry.hurst() == fit.slope / m
         assert spectrum.entries[2].window == ((1.0, 6.0) if window else (0.0, 8.0))
         assert spectrum.entries[2].points_used == (6 if window else 9)
 
@@ -259,7 +259,7 @@ class TestCompositeMultifractality:
             table = cumulant_scaling_table(build_pyramid(trace), 4)
             spectrum = hurst_spectrum(table, (0, 8))
             assert 2 in spectrum.entries and 4 in spectrum.entries
-            diffs.append(spectrum.hurst(2) - spectrum.hurst(4))
+            diffs.append(spectrum.entries[2].hurst() - spectrum.entries[4].hurst())
         assert np.mean(diffs) >= 0.03
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import scalefit
 
 ROOT = Path(__file__).parents[1]
@@ -30,6 +32,19 @@ def test_reproduce_locality(tmp_path):
     knee_lines = [line for line in result.stdout.splitlines() if " knee@" in line]
     summaries = sorted(re.match(r"(\S+) \[(\w+)\]: ", line).groups() for line in knee_lines)
     assert summaries == sorted(tuple(p.stem.split("_locality_")) for p in curves)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_reproduce_locality_refuses_seed_counts_below_one(tmp_path, seeds):
+    """A seed count below 1 is a usage error (exit 2) before any output,
+    not a traceback from averaging no curves."""
+    outdir = tmp_path / "results"
+    result = subprocess.run([sys.executable, str(SCRIPT), "--seeds", seeds, "--outdir", str(outdir)],
+                            env=_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert f"--seeds must be a positive integer, got {seeds}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not outdir.exists()
 
 
 def test_readme_library_example():
