@@ -17,9 +17,9 @@
 # an odd width, each zero-padded to a 4-wide slot of the TwoSum tree.
 # Usage: scripts/console_script_e2e.sh WORKDIR
 set -eu
-FGN_4096_SEED_3=1ccdb11be6a2ea7aee8d02995b5629b955fd055fc50e739c4e7db1b071deafd1
-MULTIFRACTAL_4096_SEED_3=86e8d24a4514a87136fc4f52b583b3df223f8cf8f6eb212c6a4c9b103c4c6bd4
-AGGREGATE3_4096_SEED_3=33309f279b46507db2a72d48860e88abfb7a603cdde459d6efe9879f46603a05
+FGN_4096_SEED_3=980278d612b013a865fd9b40d4e353d67f7915d1415d1c7e8dd0867aa78e6370
+MULTIFRACTAL_4096_SEED_3=586e8c3df1d8565563786486af29d96ae614f836589265a945e6cdf99d004a7f
+AGGREGATE3_4096_SEED_3=89d2a42166e6e9c725cfa6ee901c722722168500e352d3dc99954586e645d3b9
 mkdir -p "$1"
 cd "$1"
 scalefit generate --model fgn --length 4096 --seed 3 --out t.csv

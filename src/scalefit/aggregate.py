@@ -19,7 +19,8 @@ read at the level where it is one column; from there on its column
 only pairs with other finished columns, or is dropped, and is never
 read again. TwoSum against a zero pad returns the operand and a zero
 error exactly, so a padded slot sums as the unpadded row's own tree
-would. aggregate is the one-slot climb of its (blocks, n) rows.
+would. aggregate is the one-slot climb of its (blocks, n) rows, padded
+only when n is not a power of two.
 
 build_pyramid is a prefix of the same tree over the whole trace, at
 the dyadic scales its length allows (dyadic_scales): scale 1 is a copy
@@ -147,9 +148,11 @@ def check_block_size(n, name: str = "block size") -> int:
 def aggregate(trace_or_samples, n: int) -> np.ndarray:
     """Sum non-overlapping blocks of size n; remainder samples dropped.
 
-    Each block is zero-padded to its slot (_slot_width) and the blocks
-    climb as one slot each; a block of one sample is that sample, copied
-    (so -0.0 stays -0.0). The samples' sums must fit float64
+    The blocks climb as one slot each (_slot_width): a power-of-two n is
+    its own slot, so the (blocks, n) view of the samples climbs with no
+    copy (climb never writes to its buffer); any other n is zero-padded
+    to its slot first. A block of one sample is that sample, copied (so
+    -0.0 stays -0.0). The samples' sums must fit float64
     (check_sums_fit).
     """
     x = _as_samples(trace_or_samples)
@@ -160,10 +163,13 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     num_blocks = x.size // n
     if n == 1:
         return x[:num_blocks].copy()
+    blocks = x[: num_blocks * n].reshape(num_blocks, n)
     slot = _slot_width(n)
-    padded = np.zeros((num_blocks, slot))
-    padded[:, :n] = x[: num_blocks * n].reshape(num_blocks, n)
-    return climb(padded, [slot])[:, 0]
+    if slot > n:
+        padded = np.zeros((num_blocks, slot))
+        padded[:, :n] = blocks
+        blocks = padded
+    return climb(blocks, [slot])[:, 0]
 
 
 # blocks (or wavelet coefficients) kept at the coarsest scale

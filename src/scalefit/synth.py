@@ -172,22 +172,25 @@ def _fgn_gamma(hurst: float, variance: float, last: int) -> np.ndarray:
 
 
 def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
-    """Spectrum of the length-2N circulant embedding of gamma(0..N).
+    """The N+1 distinct eigenvalues of the length-2N circulant embedding
+    of gamma(0..N).
 
-    First row is [g0, ..., g_{N-1}, g_N, g_{N-1}, ..., g_1], built as a
-    complex row (zero imaginary part) that the FFT overwrites with the
-    spectrum, so the transform needs no second 2N-point buffer. Its real
-    part is copied out, and the row freed, before the checks.
+    The first row [g0, ..., g_{N-1}, g_N, g_{N-1}, ..., g_1] is real and
+    even, so its spectrum is real and even too: lambda_k = lambda_{2N-k},
+    and the real part of the row's rfft is lambda_0..lambda_N, the whole
+    spectrum. The row is 2N real doubles; the rfft's N+1 complex values
+    are freed once their real part is copied out.
     Eigenvalues more negative than -tol*max abort; small negatives are
     clamped to 0 in place (-0.0 and NaN are kept, as np.where keeps them).
     """
     n = gamma.size - 1
-    row = np.zeros(2 * n, dtype=complex)
-    row.real[:n + 1] = gamma
-    row.real[n + 1:] = gamma[n - 1:0:-1]
-    np.fft.fft(row, out=row)
-    lam = row.real.copy()
+    row = np.empty(2 * n)
+    row[:n + 1] = gamma
+    row[n + 1:] = gamma[n - 1:0:-1]
+    spectrum = np.fft.rfft(row)
     del row
+    lam = spectrum.real.copy()
+    del spectrum
     lam_max = lam.max()
     if lam.min() < -EMBEDDING_TOLERANCE * lam_max:
         raise SynthesisError(
@@ -200,12 +203,13 @@ def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_ROOT_SPECTRUM_CACHE_SIZE)
 def _root_spectrum(hurst: float, variance: float, length: int) -> np.ndarray:
-    """Square root of the circulant embedding spectrum of fGn with
-    length samples, read-only: the seed-independent half of generate_fgn.
+    """Square roots of the length+1 distinct circulant embedding
+    eigenvalues of fGn with length samples, read-only: the
+    seed-independent half of generate_fgn.
 
     Kept for the _ROOT_SPECTRUM_CACHE_SIZE most recent parameter sets, so
-    a run over many seeds builds it once; each entry holds 2*length
-    doubles, at most 4 x 16*length bytes in all (16 MB at 2^20). A
+    a run over many seeds builds it once; each entry holds length+1
+    doubles, at most 4 x 8*length bytes in all (8 MB at 2^20). A
     SynthesisError is not cached: it is raised again on every call.
     """
     root = _embedding_eigenvalues(_fgn_gamma(hurst, variance, length))
@@ -221,26 +225,28 @@ def generate_fgn(spec: FgnSpec) -> Trace:
     zero mean. Output is deterministic given the spec seed. The root
     spectrum depends only on (H, variance, N) and is built once per
     parameter set (_root_spectrum); only the normals and the inverse FFT
-    are drawn per call. The spectral draw is filled in place, the normals
-    are freed before the inverse FFT, and the inverse FFT overwrites the
-    draw, so a call holds little more than one complex buffer of 2N
-    points.
+    are drawn per call. The spectral draw of the 2N-point circulant is
+    conjugate-symmetric, so only its Hermitian half g[0..N] is filled
+    (g[0] = z_0, g[N] = z_1, g[k] = (z_{k+1} + i z_{N+k}) / sqrt(2)) and
+    one real-output inverse FFT (irfft, the same 1/(2N) norm as ifft)
+    gives the series. The normals are freed before the transform and the
+    draw after it, so a call holds at most two 2N-double buffers; the
+    samples are a fresh N-array, not a view of the 2N-point output.
     """
     n = spec.length
     root = _root_spectrum(spec.hurst, spec.variance, n)
     z = standard_normals(make_rng(spec.seed), 2 * n)
-    g = np.empty(2 * n, dtype=complex)
+    g = np.empty(n + 1, dtype=complex)
     g[0] = z[0]
     g[n] = z[1]
-    inner = g[1:n]  # (z_lo + i z_hi) / sqrt(2), filled in place
-    np.multiply(1j, z[n + 1:2 * n], out=inner)
-    np.add(z[2:n + 1], inner, out=inner)
-    np.divide(inner, np.sqrt(2.0), out=inner)
-    np.conjugate(inner[::-1], out=g[n + 1:])
+    g.real[1:n] = z[2:n + 1]
+    g.imag[1:n] = z[n + 1:]
     del z  # the normals are freed before the inverse FFT
+    g[1:n] /= np.sqrt(2.0)
     g *= root
-    np.fft.ifft(g, out=g)
-    samples = g.real[:n] * np.sqrt(2.0 * n)
+    series = np.fft.irfft(g, 2 * n)
+    del g
+    samples = series[:n] * np.sqrt(2.0 * n)
     return Trace(samples, trace_meta("fgn", _spec_params(spec), spec.seed, _timestamp()))
 
 
@@ -288,15 +294,16 @@ def check_composite(fgn: FgnSpec, cascade: CascadeSpec) -> None:
 def generate_multifractal(fgn: FgnSpec, cascade: CascadeSpec) -> Trace:
     """Cascade-modulated composite: x(k) * sqrt(N * mu(k)).
 
-    mu is the cascade measure normalized to unit total, so the expected
-    energy of the composite equals that of the underlying fGn x. The
-    cascade draws from a Philox block the fGn never reaches, so the two
-    are independent even when their seeds are equal.
+    mu is the cascade measure divided by its total_mass, which every
+    split conserves up to rounding, so mu has unit total and the
+    expected energy of the composite equals that of the underlying fGn
+    x. The cascade draws from a Philox block the fGn never reaches, so
+    the two are independent even when their seeds are equal.
     """
     check_composite(fgn, cascade)
     base = generate_fgn(fgn)
-    masses = _cascade_masses(cascade)
-    mu = masses / math.fsum(masses)
+    mu = _cascade_masses(cascade)
+    mu /= cascade.total_mass
     samples = base.samples * np.sqrt(fgn.length * mu)
     params = {**_spec_params(fgn), "fgn_seed": fgn.seed,
               **_spec_params(cascade), "cascade_seed": cascade.seed}

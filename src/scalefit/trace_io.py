@@ -26,7 +26,7 @@ import io
 import json
 import os
 import warnings
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -59,17 +59,29 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# lines joined per write: a trace's rows are never all held at once
+# trace rows formatted per string: a trace's rows are never all held at once
 _WRITE_BATCH_LINES = 4096
 
 
 def _write_text(path, lines) -> None:
-    """Write lines (any iterable of str, consumed lazily) as ASCII, each
-    ended by "\n"."""
-    lines = iter(lines)
+    """Write lines (any iterable of str, consumed lazily; a line may hold
+    several rows) as ASCII, each ended by "\n"."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        while batch := list(islice(lines, _WRITE_BATCH_LINES)):
-            fh.write("\n".join(batch) + "\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+
+def _trace_rows(samples: np.ndarray):
+    """The CSV rows "i,value" (1-based) of samples, _WRITE_BATCH_LINES
+    rows to a string, each string one % formatting of the batch's
+    interleaved indices and values."""
+    for start in range(0, samples.size, _WRITE_BATCH_LINES):
+        values = samples[start:start + _WRITE_BATCH_LINES].tolist()
+        cells = [None] * (2 * len(values))
+        cells[0::2] = range(start + 1, start + 1 + len(values))
+        cells[1::2] = values
+        yield "\n".join(["%d,%.17g"] * len(values)) % tuple(cells)
 
 
 def _write_json(path, obj) -> None:
@@ -79,8 +91,7 @@ def _write_json(path, obj) -> None:
 def write_trace(trace: Trace, path) -> None:
     """Write samples as CSV rows "i,value" (1-based) plus a JSON sidecar."""
     n = trace.samples.size
-    _write_text(path, chain(["index,value"], map("{},{:.17g}".format, range(1, n + 1),
-                                                 trace.samples.tolist())))
+    _write_text(path, chain(["index,value"], _trace_rows(trace.samples)))
     _write_json(sidecar_path(path), {"format": FORMAT_VERSION, "length": int(n),
                                      **trace_meta(*map(trace.meta.get, META_FIELDS))})
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ class TestAggregate:
         x = 1e305 * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples + 1e306
         with pytest.raises(ValueError, match="sums overflow float64"):
             aggregate(x, n)
+
+    @pytest.mark.parametrize("n", [4, 1024])
+    def test_power_of_two_climbs_unpadded(self, n):
+        """A power-of-two n climbs the (blocks, n) view of the samples with
+        no copy: traced peak 2.0 N-doubles at n = 4 and 1.75 at n = 1024
+        (check_sums_fit's |x|, then the first tree levels and the sums);
+        a zero-padded copy of the samples added 1 N-double to both."""
+        x = np.random.default_rng(5).normal(size=2**17)
+        tracemalloc.start()
+        try:
+            aggregate(x, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * x.size
 
 
 class TestBuildPyramid:
