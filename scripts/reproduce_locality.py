@@ -24,16 +24,13 @@ from scalefit import (
     build_pyramid,
     cumulant_scaling_table,
     detect_knee,
-    fit_loglog,
     generate_fgn,
     generate_multifractal,
-    locality_curve,
     logscale_diagram,
-    wavelet_hurst,
-    wavelet_locality_curve,
     write_curve,
 )
 from scalefit.rng import check_integer
+from scalefit.scaling import DEFAULT_WINDOW_WIDTH
 
 LENGTH = 2**16
 FAMILIES = {
@@ -43,13 +40,13 @@ FAMILIES = {
         FgnSpec(0.7, LENGTH, 1.0, seed), CascadeSpec(16, 2.0, 1.0, 1000 + seed)
     ),
 }
-
-
-def mean_curve(curves):
-    """Seed average of locality curves over the same windows."""
-    first = curves[0]
-    values = np.array([c.estimates() for c in curves]).mean(axis=0)
-    return LocalityCurve(tuple(zip(first.centers(), values)), first.window_width)
+# estimator name -> (trace -> its ScalingDiagram, the octave window of its H fit)
+ESTIMATORS = {
+    "cumulant": (lambda trace: cumulant_scaling_table(build_pyramid(trace), 2).scaling_diagram(2),
+                 (0, 10)),
+    "wavelet": (lambda trace: logscale_diagram(trace, WaveletSpec("haar", 13)).scaling_diagram(),
+                (3, 12)),
+}
 
 
 def main() -> int:
@@ -63,27 +60,18 @@ def main() -> int:
         parser.error(str(exc))
     os.makedirs(args.outdir, exist_ok=True)
 
-    import warnings
-
     for name, make in FAMILIES.items():
-        cum_curves, wav_curves = [], []
-        cum_h, wav_h = [], []
-        for seed in range(args.seeds):
-            trace = make(seed)
-            table = cumulant_scaling_table(build_pyramid(trace), 2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cum_curves.append(locality_curve(table, 2))
-                cum_h.append(fit_loglog(table, 2, (0, 10)).hurst())
-                diagram = logscale_diagram(trace, WaveletSpec("haar", 13))
-                wav_curves.append(wavelet_locality_curve(diagram))
-                wav_h.append(wavelet_hurst(diagram, 3, 12).hurst)
-        for kind, curves in (("cumulant", cum_curves), ("wavelet", wav_curves)):
-            curve = mean_curve(curves)
+        traces = [make(seed) for seed in range(args.seeds)]
+        for kind, (diagram_of, window) in ESTIMATORS.items():
+            diagrams = [diagram_of(trace) for trace in traces]
+            curves = [diagram.locality(DEFAULT_WINDOW_WIDTH) for diagram in diagrams]
+            # the seed-mean curve: windows are the same for every seed
+            estimates = np.mean([curve.estimates() for curve in curves], axis=0)
+            curve = LocalityCurve(tuple(zip(curves[0].centers(), estimates)), DEFAULT_WINDOW_WIDTH)
             write_curve(curve, os.path.join(args.outdir, f"{name}_locality_{kind}.csv"))
             knee = detect_knee(curve)
             print(
-                f"{name} [{kind}]: H_mean={np.mean(cum_h if kind == 'cumulant' else wav_h):.4f} "
+                f"{name} [{kind}]: H_mean={np.mean([d.fit(window).h for d in diagrams]):.4f} "
                 f"knee@{knee.octave:g} slopes {knee.left_slope:+.4f}->{knee.right_slope:+.4f} "
                 f"({100 * knee.fraction:.0f}% SSE reduction)"
             )

@@ -26,8 +26,11 @@ build_pyramid is a prefix of the same tree over the whole trace, at
 the dyadic scales its length allows (dyadic_scales): scale 1 is a copy
 of the samples, scale 2n is formed from scale n's (sum, error) pair,
 and each power-of-two level equals aggregate(x, 2**k) bit for bit.
-check_sums_fit and check_squares_fit are the overflow rules of
-the raw sums and of the centred squares the package takes.
+The package's rules on a series live here too: check_samples is the
+series rule (one-dimensional, nonempty, finite) that every function
+taking a series applies first, and check_sums_fit and check_squares_fit
+are the overflow rules of the raw sums and of the centred squares the
+package takes.
 """
 from __future__ import annotations
 
@@ -38,9 +41,17 @@ import numpy as np
 from .rng import check_integer
 
 
-def _as_samples(trace_or_samples) -> np.ndarray:
-    samples = getattr(trace_or_samples, "samples", trace_or_samples)
-    return np.asarray(samples, dtype=float)
+def check_samples(trace_or_samples) -> np.ndarray:
+    """The series rule: a Trace's samples, or the given array, as floats,
+    which must be one-dimensional, nonempty and all finite."""
+    x = np.asarray(getattr(trace_or_samples, "samples", trace_or_samples), dtype=float)
+    if x.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    if x.size == 0:
+        raise ValueError("series must be nonempty")
+    if not np.isfinite(x).all():
+        raise ValueError("series must be finite")
+    return x
 
 
 def _pair_sums(total: np.ndarray, error: np.ndarray | None):
@@ -119,10 +130,11 @@ SUM_LIMIT = 2.0**1020
 
 
 def check_sums_fit(samples: np.ndarray) -> None:
-    """The overflow rule of the raw-sample sums: sum |x| must be below
-    SUM_LIMIT. It bounds every block sum, mean and partial sum that
-    aggregate, build_pyramid, the k-statistics and the wavelet diagram
-    take, so a trace that passes makes none of them overflow float64."""
+    """The overflow rule of the raw-sample sums: sum |x| of finite
+    samples (check_samples) must be below SUM_LIMIT. It bounds every
+    block sum, mean and partial sum that aggregate, build_pyramid, the
+    k-statistics and the wavelet diagram take, so a trace that passes
+    makes none of them overflow float64."""
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(samples)))
     if not total < SUM_LIMIT:
@@ -155,7 +167,7 @@ def aggregate(trace_or_samples, n: int) -> np.ndarray:
     -0.0 stays -0.0). The samples' sums must fit float64
     (check_sums_fit).
     """
-    x = _as_samples(trace_or_samples)
+    x = check_samples(trace_or_samples)
     n = check_block_size(n)
     if n > x.size:
         raise ValueError(f"block size {n} exceeds trace length {x.size}")
@@ -205,7 +217,7 @@ def build_pyramid(trace_or_samples) -> AggregatePyramid:
     scales takes an octave window of the table; any other block size is
     aggregate's alone.
     """
-    x = _as_samples(trace_or_samples)
+    x = check_samples(trace_or_samples)
     check_sums_fit(x)
     if x.size < MIN_BLOCKS:
         raise ValueError(f"scale 1 leaves {x.size} blocks of a length-{x.size} trace; "

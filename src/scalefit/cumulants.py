@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import aggregate, check_squares_fit, climb, pack_slots
+from .aggregate import aggregate, check_samples, check_squares_fit, climb, pack_slots
 from .rng import check_integer
-from .scaling import ScalingDiagram, is_numerical_zero
+from .scaling import ScalingDiagram, check_finite, is_numerical_zero
 
 MAX_ORDER = 6
 DEFAULT_ORDER = 4
@@ -127,13 +127,11 @@ def _slot_cumulants(samples: list, max_order: int) -> np.ndarray:
 
 
 def sample_cumulants(series, max_order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Unbiased k-statistics k_1 .. k_max_order of a sample: the one-slot
-    case of cumulant_scaling_table's climb."""
+    """Unbiased k-statistics k_1 .. k_max_order of a series that passes
+    aggregate.check_samples: the one-slot case of cumulant_scaling_table's
+    climb."""
     check_order(max_order)
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    return _slot_cumulants([x], max_order)[0]
+    return _slot_cumulants([check_samples(series)], max_order)[0]
 
 
 CGF_EXPONENT_LIMIT = 700.0
@@ -144,13 +142,13 @@ def empirical_cgf(series, t: float) -> float:
 
     Derivatives of this function at 0 are the cumulants of the
     empirical distribution (the biased sample cumulants); they differ
-    from the unbiased k-statistics by O(1/n) terms. Each exp(t*x) must
+    from the unbiased k-statistics by O(1/n) terms. The series must pass
+    aggregate.check_samples, and t must be finite. Each exp(t*x) must
     be at most exp(CGF_EXPONENT_LIMIT), and their sum, aggregate's sum of
     one block, must fit float64 (aggregate.check_sums_fit).
     """
-    x = np.asarray(series, dtype=float)
-    if x.size == 0:
-        raise ValueError("series must be nonempty")
+    x = check_samples(series)
+    check_finite(t, "t")
     if abs(t) * np.abs(x).max() > CGF_EXPONENT_LIMIT:
         raise ValueError(
             f"|t| * max|x| = {abs(t) * np.abs(x).max():.3g} exceeds the overflow "

@@ -54,7 +54,7 @@ def check_window_width(window_width: int, name: str = "window_width") -> int:
 
 
 def check_finite(value, name: str) -> None:
-    """Fit-window octaves and knee thresholds are finite."""
+    """Fit-window octaves, knee thresholds and empirical_cgf's t are finite."""
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 

@@ -19,6 +19,7 @@ from itertools import count, repeat
 
 import numpy as np
 
+from .aggregate import check_samples
 from .rng import check_integer, check_seed, make_rng, standard_normals
 
 FIXED_CLOCK_ENV = "SCALEFIT_FIXED_CLOCK"
@@ -114,18 +115,14 @@ def _spec_params(spec) -> dict:
 
 @dataclass
 class Trace:
-    """A finite real-valued increment series with generation metadata
-    (trace_meta)."""
+    """An increment series that passes aggregate.check_samples, with
+    generation metadata (trace_meta)."""
 
     samples: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("samples must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must all be finite")
+        self.samples = check_samples(self.samples)
 
     def __len__(self):
         return self.samples.size

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregate import (_as_samples, check_block_size, check_squares_fit, check_sums_fit,
+from .aggregate import (check_block_size, check_samples, check_squares_fit, check_sums_fit,
                         dyadic_scales)
 from .scaling import (DEFAULT_WINDOW_WIDTH, LocalityCurve, ScalingDiagram, _warn_if_outside_unit,
                       is_numerical_zero)
@@ -116,17 +116,16 @@ def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def dwt(series, spec: WaveletSpec) -> DwtResult:
     """Periodic orthonormal pyramid transform.
 
-    The input length must be a positive multiple of 2**levels. Periodic
-    boundary handling preserves exact orthonormality, so the transform
-    conserves energy (Parseval); coefficients whose filter support
-    wraps around the boundary see the series as circular. Each level
+    The series must pass aggregate.check_samples, and its length must be
+    a multiple of 2**levels. Periodic boundary handling preserves exact
+    orthonormality, so the transform conserves energy (Parseval);
+    coefficients whose filter support wraps around the boundary see the
+    series as circular. Each level
     fills its filter windows with slices of the series repeated
     periodically (_analysis_step), with no index array.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if x.size == 0 or x.size % 2**spec.levels:
+    x = check_samples(series)
+    if x.size % 2**spec.levels:
         raise ValueError(f"series length must be a positive multiple of "
                          f"2**levels = {2**spec.levels}, got {x.size}")
     lo, hi = _filters(spec.family)
@@ -153,7 +152,7 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     (scaling.is_numerical_zero) against the centred mean square are
     set to exactly 0 and never fitted.
     """
-    samples = _as_samples(trace_or_samples)
+    samples = check_samples(trace_or_samples)
     deepest = len(dyadic_scales(samples.size)) - 1  # octave j: one coefficient per 2**j samples
     if spec.levels > deepest:
         raise ValueError(

@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scalefit.aggregate import (SUM_LIMIT, _pair_sums, aggregate, build_pyramid, check_sums_fit,
-                                climb, dyadic_scales, pack_slots)
-from scalefit.synth import FgnSpec, generate_fgn
+from scalefit.aggregate import (SUM_LIMIT, _pair_sums, aggregate, build_pyramid, check_samples,
+                                check_sums_fit, climb, dyadic_scales, pack_slots)
+from scalefit.cumulants import empirical_cgf, sample_cumulants
+from scalefit.synth import FgnSpec, Trace, generate_fgn
+from scalefit.wavelet import WaveletSpec, dwt, logscale_diagram
 
 finite_values = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -135,6 +138,52 @@ class TestBuildPyramid:
         assert np.array_equal(pyramid.series[2], np.zeros(32))
         with pytest.raises(ValueError, match="sums overflow float64"):
             check_sums_fit(2.0 * x)
+
+
+SERIES_ENTRY_POINTS = {
+    "Trace": Trace,
+    "aggregate": lambda x: aggregate(x, 2),
+    "build_pyramid": build_pyramid,
+    "logscale_diagram": lambda x: logscale_diagram(x, WaveletSpec("haar", 1)),
+    "dwt": lambda x: dwt(x, WaveletSpec("haar", 1)),
+    "sample_cumulants": sample_cumulants,
+    "empirical_cgf": lambda x: empirical_cgf(x, 0.5),
+}
+
+
+def _with_sample(value):
+    x = np.zeros(64)
+    x[5] = value
+    return x
+
+
+BAD_SERIES = {
+    "nan": (_with_sample(np.nan), "series must be finite"),
+    "+inf": (_with_sample(np.inf), "series must be finite"),
+    "-inf": (_with_sample(-np.inf), "series must be finite"),
+    "empty": (np.zeros(0), "series must be nonempty"),
+    "2-d": (np.zeros((8, 8)), "series must be one-dimensional"),
+    "0-d": (np.array(1.0), "series must be one-dimensional"),
+}
+
+
+class TestCheckSamples:
+    @pytest.mark.parametrize("entry", SERIES_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", BAD_SERIES)
+    def test_every_entry_point_gives_the_owners_message(self, entry, bad):
+        """Each function that takes a series refuses a bad one with
+        check_samples' message, before any rule on its length or sums,
+        and with no numpy RuntimeWarning."""
+        series, message = BAD_SERIES[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SERIES_ENTRY_POINTS[entry](series)
+
+    def test_takes_a_traces_samples_as_floats(self):
+        trace = Trace(np.arange(8))
+        assert check_samples(trace) is trace.samples
+        assert check_samples([1, 2]).dtype == float
 
 
 def _summation_inputs():

@@ -348,6 +348,15 @@ class TestEmpiricalCgf:
         with pytest.raises(ValueError, match="^series must be nonempty$"):
             empirical_cgf([], 1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_t(self, t):
+        """t is checked by the finite rule after the series rule, so nan
+        is not reported as an overflowing sum, nor inf as the guard."""
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            empirical_cgf([1.0, 2.0], t)
+        with pytest.raises(ValueError, match="^series must be finite$"):
+            empirical_cgf([1.0, np.nan], t)
+
     def test_sum_of_terms_overflow_refused(self):
         """Each exp(t*x) passes the exponent guard, but 2^17 of them sum
         past float64: the sum rule refuses it by name, with no numpy
