@@ -27,10 +27,12 @@ the dyadic scales its length allows (dyadic_scales): scale 1 is a copy
 of the samples, scale 2n is formed from scale n's (sum, error) pair,
 and each power-of-two level equals aggregate(x, 2**k) bit for bit.
 The package's rules on a series live here too: check_samples is the
-series rule (one-dimensional, nonempty, finite) that every function
-taking a series applies first, and check_sums_fit and check_squares_fit
-are the overflow rules of the raw sums and of the centred squares the
-package takes.
+series rule (real, one-dimensional, nonempty, finite) that every
+function taking a series applies first, and check_sums_fit and
+check_squares_fit are the overflow rules of the raw sums and of the
+centred squares the package takes. check_squares_fit judges a number,
+not an array: each estimator hands it the sum of squares it already
+forms.
 """
 from __future__ import annotations
 
@@ -43,8 +45,12 @@ from .rng import check_integer
 
 def check_samples(trace_or_samples) -> np.ndarray:
     """The series rule: a Trace's samples, or the given array, as floats,
-    which must be one-dimensional, nonempty and all finite."""
-    x = np.asarray(getattr(trace_or_samples, "samples", trace_or_samples), dtype=float)
+    which must be real (refused before the cast, which would drop the
+    imaginary parts), one-dimensional, nonempty and all finite."""
+    x = np.asarray(getattr(trace_or_samples, "samples", trace_or_samples))
+    if np.iscomplexobj(x):
+        raise ValueError("series must be real")
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
     if x.size == 0:
@@ -142,10 +148,11 @@ def check_sums_fit(samples: np.ndarray) -> None:
                          f"is not below {SUM_LIMIT:.3g}")
 
 
-def check_squares_fit(centred: np.ndarray) -> float:
-    """sum (x - mean)^2 of centred samples, below SUM_LIMIT (numpy's pairwise sum)."""
-    with np.errstate(over="ignore"):
-        squares = float(np.sum(centred * centred))
+def check_squares_fit(squares: float) -> float:
+    """The overflow rule of the centred squares: a trace's sum (x - mean)^2
+    must be below SUM_LIMIT. The caller passes the sum it already forms
+    (the wavelet diagram's numpy sum, the cumulant table's compensated
+    one), with float64 overflow, if any, left as inf. Returns the sum."""
     if not squares < SUM_LIMIT:
         raise ValueError(f"the trace's squares overflow float64: sum (x - mean)^2 = "
                          f"{squares:.3g} is not below {SUM_LIMIT:.3g}")

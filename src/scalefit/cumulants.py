@@ -203,14 +203,16 @@ def _usable_mask(ks: np.ndarray, blocks) -> np.ndarray:
 
 def cumulant_scaling_table(pyramid, max_order: int = DEFAULT_ORDER) -> CumulantTable:
     """Estimate k_1..k_max_order at every aggregation scale. The finest
-    level's centred squares must fit float64 (aggregate.check_squares_fit)."""
+    level's centred squares must fit float64 (aggregate.check_squares_fit),
+    judged on its k2 x (n - 1), the compensated sum of squares of the
+    climb, before any cell is built."""
     check_order(max_order)
-    finest = pyramid.series[pyramid.scales[0]]
-    check_squares_fit(finest - finest.mean())
     orders = tuple(range(1, max_order + 1))
     block_counts = {n: pyramid.series[n].size for n in pyramid.scales}
     # order 2 always computed: it sets the usability reference scale
     table = _slot_cumulants([pyramid.series[n] for n in pyramid.scales], max(max_order, 2))
+    # the finest level's k2 x (n - 1) is its climb's compensated sum of squares
+    check_squares_fit(float(table[0, 1]) * (block_counts[pyramid.scales[0]] - 1))
     usable = _usable_mask(table, list(block_counts.values()))[:, :max_order]
     # keys (m, n) in the table's row-major order: scale outer, order inner
     cells = list(zip(orders * len(pyramid.scales), np.repeat(pyramid.scales, max_order).tolist()))

@@ -78,13 +78,12 @@ def _ols(x: np.ndarray, y: np.ndarray, w=None):
     wsum = float(x.size) if w is None else w.sum()
     xm = weighted(x).sum() / wsum
     ym = weighted(y).sum() / wsum
-    sxx = weighted((x - xm) ** 2).sum()
-    sxy = (weighted(x - xm) * (y - ym)).sum()
-    slope = sxy / sxx
+    dx, dy = x - xm, y - ym
+    slope = (weighted(dx) * dy).sum() / weighted(dx**2).sum()
     intercept = ym - slope * xm
     resid = y - intercept - slope * x
     sse = weighted(resid**2).sum()
-    sst = weighted((y - ym) ** 2).sum()
+    sst = weighted(dy**2).sum()
     r_squared = 1.0 if sst <= 0.0 else max(0.0, 1.0 - sse / sst)
     return slope, intercept, r_squared, sse
 

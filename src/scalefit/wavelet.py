@@ -144,7 +144,8 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     aggregate.MIN_BLOCKS detail coefficients at its coarsest octave, and
     drops the samples past the last multiple of 2**levels, as aggregate
     drops a partial block. Their sums (aggregate.check_sums_fit) and
-    centred squares (aggregate.check_squares_fit) must stay below
+    centred squares (aggregate.check_squares_fit, on the numpy sum of
+    squares the variance is formed from) must stay below
     aggregate.SUM_LIMIT. The samples are centred
     first: the wavelets' vanishing moment makes the diagram blind to the
     mean, but the filter taps sum to zero only to round-off, so an offset
@@ -162,7 +163,8 @@ def logscale_diagram(trace_or_samples, spec: WaveletSpec) -> LogscaleDiagram:
     samples = samples[: samples.size - samples.size % 2**spec.levels]
     check_sums_fit(samples)
     centred = samples - samples.mean()
-    variance = check_squares_fit(centred) / centred.size
+    with np.errstate(over="ignore"):  # an overflowing sum is refused by name
+        variance = check_squares_fit(float(np.sum(centred * centred))) / centred.size
     result = dwt(centred, spec)
     octaves = tuple(range(1, spec.levels + 1))
     counts = [d.size for d in result.details]

@@ -164,6 +164,9 @@ BAD_SERIES = {
     "empty": (np.zeros(0), "series must be nonempty"),
     "2-d": (np.zeros((8, 8)), "series must be one-dimensional"),
     "0-d": (np.array(1.0), "series must be one-dimensional"),
+    "complex": (_with_sample(1.0) * (1 + 2j), "series must be real"),
+    "complex, zero imaginary parts": (_with_sample(1.0).astype(complex), "series must be real"),
+    "complex, empty": (np.zeros(0, dtype=complex), "series must be real"),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scalefit.aggregate import aggregate, build_pyramid
+from scalefit.aggregate import SUM_LIMIT, aggregate, build_pyramid
 from scalefit.cumulants import (
     NOISE_FLOOR_SIGMAS,
     _usable_mask,
@@ -428,6 +428,31 @@ class TestCumulantScalingTable:
             assert np.isinf(table.values[(6, n)])
             assert not table.usable[(6, n)]
             assert table.usable[(2, n)]
+
+    @staticmethod
+    def _scaled_fgn_and_reference(k):
+        """2^k fGn and the squares rule's reference for it: numpy's sum of
+        (y - mean)^2 reaches SUM_LIMIT."""
+        y = 2.0**k * generate_fgn(FgnSpec(0.8, 4096, 1.0, 3)).samples
+        with np.errstate(over="ignore"):
+            return y, bool(np.sum((y - y.mean()) ** 2) >= SUM_LIMIT)
+
+    @pytest.mark.parametrize("k", range(500, 514))
+    def test_squares_rule_at_the_limit(self, k):
+        """The table refuses 2^k fGn exactly when the reference says its
+        centred squares reach SUM_LIMIT = 2^1020, builds it otherwise, and
+        warns nothing either way (RuntimeWarnings are errors here)."""
+        y, overflows = self._scaled_fgn_and_reference(k)
+        pyramid = build_pyramid(y)
+        if overflows:
+            with pytest.raises(ValueError, match="^the trace's squares overflow float64"):
+                cumulant_scaling_table(pyramid)
+        else:
+            assert cumulant_scaling_table(pyramid).usable[(2, 1)]
+
+    def test_squares_rule_cases_straddle_the_limit(self):
+        flags = [self._scaled_fgn_and_reference(k)[1] for k in range(500, 514)]
+        assert not flags[0] and flags[-1] and flags == sorted(flags)
 
     def test_rejects_bad_order(self):
         pyramid = build_pyramid(np.random.default_rng(9).normal(size=64))
