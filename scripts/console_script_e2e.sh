@@ -15,9 +15,14 @@
 # is what checks that stream under each numpy. The `aggregate --scale 3`
 # output's sha256 is pinned too (AGGREGATE3_4096_SEED_3): 1365 blocks of
 # an odd width, each zero-padded to a 4-wide slot of the TwoSum tree.
+# The 4096-row traces are one batch of the trace writer with indices of
+# at most 4 digits; the fixed-clock 2^17 fGn trace's sha256 is pinned too
+# (FGN_131072_SEED_3): 32 batches, 6-digit indices from row 100000 on,
+# under whichever numpy the job installs.
 # Usage: scripts/console_script_e2e.sh WORKDIR
 set -eu
 FGN_4096_SEED_3=980278d612b013a865fd9b40d4e353d67f7915d1415d1c7e8dd0867aa78e6370
+FGN_131072_SEED_3=dd004d31223cc4df371f13734f30cc315b30437bdd51852a1f4409182632ee03
 MULTIFRACTAL_4096_SEED_3=586e8c3df1d8565563786486af29d96ae614f836589265a945e6cdf99d004a7f
 AGGREGATE3_4096_SEED_3=89d2a42166e6e9c725cfa6ee901c722722168500e352d3dc99954586e645d3b9
 mkdir -p "$1"
@@ -52,5 +57,7 @@ done
 test "$(ls fixed1/r | wc -l)" -eq 7
 diff -r fixed1 fixed2
 test "$(sha256sum fixed1/t.csv | cut -d " " -f 1)" = "$FGN_4096_SEED_3"
+SCALEFIT_FIXED_CLOCK=1 scalefit generate --model fgn --length 131072 --seed 3 --out fixed1/t17.csv
+test "$(sha256sum fixed1/t17.csv | cut -d " " -f 1)" = "$FGN_131072_SEED_3"
 SCALEFIT_FIXED_CLOCK=1 scalefit generate --model multifractal --length 4096 --seed 3 --out fixed1/m.csv
 test "$(sha256sum fixed1/m.csv | cut -d " " -f 1)" = "$MULTIFRACTAL_4096_SEED_3"

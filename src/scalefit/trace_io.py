@@ -12,6 +12,16 @@ with 17 significant digits, so write -> read is bit-exact for 64-bit
 floats. Data files never contain timestamps; the only timestamp lives
 in the sidecar's "created" field.
 
+write_trace formats the rows 4096 at a time. A batch whose every
+|value| lies in [1e-6, 1e16) (exact decimal bounds: the double nearest
+1e-6 lies below them) is formatted by numpy: each value's 17 digits
+come from an exact double-double product with a power of ten (Dekker),
+rounded half to even as "%.17g" rounds, and every row is laid out in
+fixed columns that a keep-mask compresses to the "%g" text. Any other
+batch (a zero, a subnormal, a value of 1e16 or more or below 1e-6)
+keeps the Python "%d,%.17g" formatting, the reference the tests hold
+the numpy rows to, byte for byte.
+
 read_trace first parses the rows with np.loadtxt and keeps the result
 only for a well-formed file: ASCII with "\n" line ends, the exact
 header line, one row per line, indices exactly 1..n, every value
@@ -22,6 +32,7 @@ path:line: errors, so both routes give the same samples or error.
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -59,29 +70,191 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# trace rows formatted per string: a trace's rows are never all held at once
+# trace rows formatted per batch: a trace's rows are never all held at once
 _WRITE_BATCH_LINES = 4096
 
 
+def _write_bytes(path, chunks) -> None:
+    """Write chunks (any iterable of bytes-like objects, consumed lazily)."""
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
 def _write_text(path, lines) -> None:
-    """Write lines (any iterable of str, consumed lazily; a line may hold
-    several rows) as ASCII, each ended by "\n"."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    """Write lines (any iterable of str, consumed lazily) as ASCII, each
+    ended by "\n"."""
+    _write_bytes(path, (f"{line}\n".encode("ascii") for line in lines))
+
+
+def _rows_percent(values: np.ndarray, start: int) -> bytes:
+    """The CSV rows "i,value\n" of values, indexed from start + 1, by one
+    % formatting of the interleaved indices and values: the reference
+    for _rows_17g, and the writer of every batch it does not take."""
+    cells = [None] * (2 * values.size)
+    cells[0::2] = range(start + 1, start + 1 + values.size)
+    cells[1::2] = values.tolist()
+    return ("%d,%.17g\n" * values.size % tuple(cells)).encode("ascii")
+
+
+def _split(a):
+    """a as ah + al, each with at most 26 significant bits (Veltkamp)."""
+    c = a * 134217729.0  # 2**27 + 1
+    ah = c - (c - a)
+    return ah, a - ah
+
+
+# 10^k is exact in binary64 for k <= 22, so for 1e-6 <= |x| < 1e16
+# x * 10^(16 - E) is an exact Dekker product
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a, k):
+    """a * 10^k exactly, as hi + lo with hi = fl(a * 10^k): Dekker's
+    two-product of a and the exact power 10^k, k <= 22."""
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digits17(magnitudes):
+    """(D, E) for magnitudes in [1e-6, 1e16): D = the 17 significant
+    digits as an int64, 10^16 <= D < 10^17, E = the decimal exponent,
+    so that D * 10^(E - 16) is each magnitude rounded half to even, the
+    digits and exponent of "%.17e".
+
+    The 17-digit rounding never carries D to 10^17 here: for every
+    power of ten from 1e-6 to 1e16 the largest double below it keeps a
+    17-digit value below it (tests pin this), so E is final."""
+    e = np.floor(np.log10(magnitudes)).astype(np.intp)
+    np.clip(e, -6, 15, out=e)
+    hi, lo = _times_pow10(magnitudes, 16 - e)
+    # log10 can round across a power of ten: the exact hi + lo decides E
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    wrong = below | above
+    if wrong.any():
+        e += above
+        e -= below
+        hi[wrong], lo[wrong] = _times_pow10(magnitudes[wrong], 16 - e[wrong])
+    # hi >= 2^53 is an even integer, so rounding lo half to even rounds
+    # the exact hi + lo half to even
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
+# A fast-path row is 8 * wi + 48 bytes in uint64 words: wi words of
+# index digits, right-aligned, then the 48-byte value part:
+#   0 ","  1 "-"  2-6 "0.000"  7 pad  8+2j digit j and 9+2j a "." (j < 16)
+#   40 digit 16  41 pad  42-45 "e-0X"  46 "\n"  47 pad
+# A 0/1 keep byte per byte selects the row's "%d,%.17g\n" text. The
+# words and tables are built from bytes, so they are native-endian.
+_VALUE_WORDS = 6
+_COMMA_WORD = np.frombuffer(b",-0.000\0", np.uint64)[0]
+_TAIL_WORD = np.frombuffer(b"\0\0e-0\0\n\0", np.uint64)[0]
+
+
+@functools.cache
+def _row_tables():
+    """The read-only lookup tables of _rows_17g, built at its first call,
+    so that an import or a command that writes no trace builds none:
+    - plain[g], dotted[g]: the 4 digits of g < 10^4, thousands first, as
+      ASCII in a uint32, and each followed by a "." in a uint64;
+    - last_nonzero[g]: the position (0-3) of g's last nonzero digit, -16
+      for g = 0, below any position in a 17-digit number;
+    - value_keep[L * 22 + E + 6]: the keep words of the value part, for L
+      the position of D's last nonzero digit and E in [-6, 15]. "%g"
+      prints fixed notation for -4 <= E, with "0." and -E - 1 zeros
+      before the digits when E < 0; it prints the digits up to the last
+      nonzero one and, in fixed notation, up to the units digit, and a
+      "." only where a nonzero digit follows it;
+    - index_keep[n]: the keep words of an n-digit index right-aligned in
+      2 words."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, 10000)
+    ascii_digits = np.ascontiguousarray(digits.T) + np.uint8(ord("0"))
+    plain = ascii_digits.view(np.uint32).ravel()
+    dotted = (np.stack([ascii_digits, np.full_like(ascii_digits, ord("."))], 2)
+              .reshape(10000, 8).view(np.uint64).ravel())
+    last_nonzero = np.max((digits != 0) * np.arange(4, dtype=np.int8)[:, None], axis=0)
+    last_nonzero = last_nonzero.astype(np.intp)
+    last_nonzero[0] = -16
+
+    last = np.arange(17)[:, None, None]
+    e = np.arange(-6, 16)[None, :, None]
+    b = np.arange(8 * _VALUE_WORDS)
+    j = (b - 8) // 2
+    fixed = e >= -4
+    lead = np.where(fixed & (e < 0), 1 - e, 0)
+    point = np.where(fixed, e, 0)
+    value_keep = ((b == 0) | (b == 46) | ((2 <= b) & (b < 2 + lead))
+                  | ((8 <= b) & (b <= 40) & (b % 2 == 0) & (j <= np.maximum(last, e)))
+                  | ((8 < b) & (b < 40) & (b % 2 == 1) & (j == point) & (point < last))
+                  | ((42 <= b) & (b < 46) & ~fixed))
+    value_keep = value_keep.astype(np.uint8).view(np.uint64).reshape(17 * 22, _VALUE_WORDS)
+    index_keep = (np.arange(16) >= 16 - np.arange(17)[:, None]).astype(np.uint8).view(np.uint64)
+    tables = plain, dotted, last_nonzero, value_keep, index_keep
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _rows_17g(values: np.ndarray, magnitudes: np.ndarray, start: int) -> np.ndarray:
+    """The bytes of _rows_percent(values, start), for values whose
+    magnitudes all lie in [1e-6, 1e16), as a uint8 array."""
+    plain, dotted, last_nonzero, value_keep, index_keep = _row_tables()
+    n = values.size
+    digits, e = _digits17(magnitudes)
+    # D's digits: groups 0-3 hold digits 0-15, four to a group, then d16
+    head = digits // 10
+    d16 = digits - head * 10
+    groups = np.empty((4, n), np.int64)
+    high = head // 100000000
+    for g, half in ((0, high), (2, head - high * 100000000)):
+        np.floor_divide(half, 10000, out=groups[g])
+        np.subtract(half, groups[g] * 10000, out=groups[g + 1])
+    last = np.maximum(
+        np.maximum(np.take(last_nonzero, groups[0]), np.take(last_nonzero, groups[1]) + 4),
+        np.maximum(np.take(last_nonzero, groups[2]) + 8, np.take(last_nonzero, groups[3]) + 12))
+    last[d16 != 0] = 16
+
+    index = np.arange(start + 1, start + n + 1)
+    wi = 1 if start + n < 10 ** 8 else 2
+    words = np.empty((n, wi + _VALUE_WORDS), np.uint64)
+    keep = np.empty_like(words)
+    # an index has len(str(i)) digits: one more at each power of ten
+    keep[:, :wi] = index_keep[len(str(start + 1)), 2 - wi:]
+    for k in range(len(str(start + 1)), len(str(start + n))):
+        keep[10 ** k - start - 1:, :wi] = index_keep[k + 1, 2 - wi:]
+    for w in range(2 * wi - 1, -1, -1):  # 4 index digits per uint32
+        rest = index // 10000
+        words.view(np.uint32)[:, w] = np.take(plain, index - rest * 10000)
+        index = rest
+    words[:, wi] = _COMMA_WORD
+    words[:, wi + 1:wi + 5] = np.take(dotted, groups).T
+    words[:, wi + 5] = _TAIL_WORD
+    text = words.view(np.uint8)
+    text[:, 8 * wi + 40] = d16 + ord("0")
+    text[:, 8 * wi + 45] = ord("0") - e  # the exponent's digit, for E = -5, -6
+
+    keep[:, wi:] = np.take(value_keep, last * 22 + e + 6, axis=0)
+    keep.view(np.uint8)[:, 8 * wi + 1] = values < 0
+    return np.compress(keep.view(bool).ravel(), text.ravel())
 
 
 def _trace_rows(samples: np.ndarray):
-    """The CSV rows "i,value" (1-based) of samples, _WRITE_BATCH_LINES
-    rows to a string, each string one % formatting of the batch's
-    interleaved indices and values."""
+    """The CSV rows "i,value\n" (1-based) of samples, _WRITE_BATCH_LINES
+    rows to a chunk: by _rows_17g when every |value| of the batch lies in
+    [1e-6, 1e16), else by _rows_percent."""
     for start in range(0, samples.size, _WRITE_BATCH_LINES):
-        values = samples[start:start + _WRITE_BATCH_LINES].tolist()
-        cells = [None] * (2 * len(values))
-        cells[0::2] = range(start + 1, start + 1 + len(values))
-        cells[1::2] = values
-        yield "\n".join(["%d,%.17g"] * len(values)) % tuple(cells)
+        values = samples[start:start + _WRITE_BATCH_LINES]
+        magnitudes = np.abs(values)
+        # the double 1e-6 lies below 10^-6: "> 1e-6" admits exactly the
+        # doubles from 10^-6 up, whose 10^(16 - E) is exact
+        if magnitudes.min() > 1e-6 and magnitudes.max() < 1e16:
+            yield _rows_17g(values, magnitudes, start)
+        else:
+            yield _rows_percent(values, start)
 
 
 def _write_json(path, obj) -> None:
@@ -91,7 +264,7 @@ def _write_json(path, obj) -> None:
 def write_trace(trace: Trace, path) -> None:
     """Write samples as CSV rows "i,value" (1-based) plus a JSON sidecar."""
     n = trace.samples.size
-    _write_text(path, chain(["index,value"], _trace_rows(trace.samples)))
+    _write_bytes(path, chain([b"index,value\n"], _trace_rows(trace.samples)))
     _write_json(sidecar_path(path), {"format": FORMAT_VERSION, "length": int(n),
                                      **trace_meta(*map(trace.meta.get, META_FIELDS))})
 

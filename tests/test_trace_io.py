@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from scalefit.trace_io import (
     TraceFormatError,
     _parse_samples,
     _read_samples,
+    _rows_17g,
     read_trace,
     sidecar_path,
     write_curve,
@@ -60,8 +63,8 @@ class TestWriteTrace:
 
     def test_2p17_write_streams_rows(self, tmp_path):
         """write_trace formats and writes its rows in batches: its traced
-        peak stays near the samples' 4 MB of Python floats, where formatting
-        every row before the write peaked at 17.8 MB."""
+        peak, about 2 MB of one batch's arrays, stays far below the 17.8 MB
+        of formatting every row before the write."""
         trace = generate_fgn(FgnSpec(0.8, 2**17, 1.0, 5))
         tracemalloc.start()
         try:
@@ -69,7 +72,101 @@ class TestWriteTrace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 3e6
+
+
+def _percent_rows(values, start=0) -> bytes:
+    """The reference rows: "%d,%.17g\n" of each index and value."""
+    return "".join("%d,%.17g\n" % (i, v)
+                   for i, v in enumerate(np.asarray(values).tolist(), start + 1)).encode()
+
+
+def _numpy_rows(values, start=0) -> bytes:
+    values = np.asarray(values, dtype=float)
+    return _rows_17g(values, np.abs(values), start).tobytes()
+
+
+def _largest_below(k: int) -> float:
+    """The largest double below 10^k."""
+    x = float(Fraction(10) ** k)
+    return x if Fraction(x) < Fraction(10) ** k else math.nextafter(x, 0.0)
+
+
+FAST_RANGE = st.floats(1e-6, 1e16, exclude_min=True, exclude_max=True)
+# 10^k and both neighbours, k = -7..17, and the doubles 1e-14 and 1e98,
+# which lie below their powers of ten and round up to them at 17 digits
+POWERS_OF_TEN = np.array([math.nextafter(p, toward)
+                          for p in (float(f"1e{k}") for k in range(-7, 18))
+                          for toward in (0.0, p, math.inf)] + [1e-14, 1e98])
+# "%.17g" in exponent form (e-05, e-06), and fixed notation without a "."
+FORMS = [1.5e-5, 2.5e-6, 3e-6, 1e-5, 9.9999999999999991e-06, 100.0, 1e16 - 2, 12345.0, 0.5,
+         1e-4, 0.00012340000000000001]
+
+
+class TestTraceBytes:
+    """write_trace's CSV is byte for byte the "%d,%.17g" rows, by numpy's
+    _rows_17g for a batch within [1e-6, 1e16) and by % for any other."""
+
+    @settings(max_examples=100)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=64))
+    @example(values=[0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+    def test_all_finite_doubles(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("io") / "t.csv"
+        write_trace(make_trace(values), path)
+        assert path.read_bytes() == b"index,value\n" + _percent_rows(values)
+
+    @settings(max_examples=200)
+    @given(values=st.lists(st.one_of(FAST_RANGE, FAST_RANGE.map(lambda x: -x)), min_size=1,
+                           max_size=64),
+           start=st.integers(0, 10**12))
+    @example(values=FORMS, start=0)
+    def test_fast_range(self, values, start):
+        assert _numpy_rows(values, start) == _percent_rows(values, start)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_ten_and_neighbours(self, tmp_path, sign):
+        values = sign * POWERS_OF_TEN
+        fast = values[(np.abs(values) > 1e-6) & (np.abs(values) < 1e16)]
+        assert _numpy_rows(fast) == _percent_rows(fast)
+        path = tmp_path / "t.csv"
+        write_trace(make_trace(values), path)
+        assert path.read_bytes() == b"index,value\n" + _percent_rows(values)
+        for value in values:  # each a batch of its own, on either path
+            write_trace(make_trace([value]), path)
+            assert path.read_bytes() == b"index,value\n" + _percent_rows([value])
+
+    def test_no_carry_to_a_power_of_ten_in_the_fast_range(self):
+        """_digits17 keeps no carry: below every power of ten the fast
+        range reaches, the 17-digit rounding stays below it."""
+        for k in range(-6, 17):
+            assert Fraction("%.16e" % _largest_below(k)) < Fraction(10) ** k
+        assert "%.17g" % _largest_below(-14) == "1e-14"  # outside the range it can carry
+
+    def test_dyadic_ties(self):
+        """x = m / 2^(k + 1), m odd, is a tie at 17 digits, x * 10^k = N + 1/2,
+        rounded half to even."""
+        rng = np.random.default_rng(7)
+        values = []
+        for k in range(1, 23):
+            low, high = 2 ** (k + 1) * 10 ** (16 - k), min(2 ** (k + 1) * 10 ** (17 - k), 2**53)
+            for m in rng.integers(low // 2, high // 2, 20):
+                x = math.ldexp(2 * int(m) + 1, -(k + 1))
+                assert (Fraction(x) * 10**k).denominator == 2
+                values += [x, -x]
+        assert _numpy_rows(values) == _percent_rows(values)
+
+    def test_one_value_takes_the_percent_path(self, tmp_path):
+        values = generate_fgn(FgnSpec(0.8, 4 * 4096, 1.0, 2)).samples.copy()
+        values[5000] = 0.0  # the second batch alone takes the % path
+        path = tmp_path / "t.csv"
+        write_trace(make_trace(values), path)
+        assert path.read_bytes() == b"index,value\n" + _percent_rows(values)
+
+    @pytest.mark.parametrize("start", [0, 99_990, 10**8 - 10, 10**12])
+    def test_index_width_changes_inside_a_batch(self, start):
+        values = generate_fgn(FgnSpec(0.8, 4096, 1.0, 2)).samples
+        assert _numpy_rows(values, start) == _percent_rows(values, start)
 
 
 class TestRoundTrip:
